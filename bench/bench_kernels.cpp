@@ -34,11 +34,14 @@
 #include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
 #include "core/workspace.hpp"
+#include "direct/factor.hpp"
 #include "fem/poisson2d.hpp"
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "parallel/kernel_executor.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/graph.hpp"
+#include "sparse/partition.hpp"
 
 // Process-wide allocation counter behind the alloc_churn rows: replaceable
 // global operator new/delete that count every heap allocation, so a solver
@@ -56,7 +59,9 @@ void* operator new(std::size_t sz) {  // bkr-lint: allow(raw-new-delete) countin
 void* operator new[](std::size_t sz) { return ::operator new(sz); }  // bkr-lint: allow(raw-new-delete) counting hook
 void operator delete(void* p) noexcept { std::free(p); }  // bkr-lint: allow(raw-new-delete) counting hook
 void operator delete[](void* p) noexcept { std::free(p); }  // bkr-lint: allow(raw-new-delete) counting hook
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // bkr-lint: allow(raw-new-delete) counting hook
+// Out of line: once g++ 12 inlines this free() next to an inlined
+// allocation it reports the hook pair as mismatched new/delete.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // bkr-lint: allow(raw-new-delete) counting hook
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }  // bkr-lint: allow(raw-new-delete) counting hook
 
 namespace {
@@ -108,12 +113,46 @@ struct Bench {
   }
 };
 
-DenseMatrix<double> random_block(index_t n, index_t p, unsigned seed) {
-  DenseMatrix<double> m(n, p);
+template <class T = double>
+DenseMatrix<T> random_block(index_t n, index_t p, unsigned seed) {
+  DenseMatrix<T> m(n, p);
   Rng rng(seed);
   for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) m(i, c) = rng.scalar<double>();
+    for (index_t i = 0; i < n; ++i) m(i, c) = rng.scalar<T>();
   return m;
+}
+
+// Complex kernels of the fig. 8 antenna chamber (grid 8, 1,176 unknowns):
+// the local LDL^T solve of its largest ORAS(16) subdomain at widths 1 and
+// 8, and the block projection coefficients of a 21-block basis of width 8.
+// Both run on the explicit-product helpers of common/types.hpp.
+void complex_chamber_rows(Bench& b) {
+  using cd = std::complex<double>;
+  const MaxwellProblem chamber = bench::chamber_problem(8, true);
+  const SchwarzOptions oras = bench::chamber_oras(16);
+  const OverlappingDecomposition dec = make_decomposition(
+      adjacency_of(chamber.matrix), oras.subdomains, oras.overlap, PouKind::Boolean);
+  size_t largest = 0;
+  for (size_t i = 1; i < dec.rows.size(); ++i)
+    if (dec.rows[i].size() > dec.rows[largest].size()) largest = i;
+  const SparseLDLT<cd> f(extract_submatrix(chamber.matrix, dec.rows[largest]));
+  const index_t ni = f.n();
+  for (const index_t p : {index_t(1), index_t(8)}) {
+    const DenseMatrix<cd> rhs = random_block<cd>(ni, p, 12);
+    DenseMatrix<cd> x(ni, p);
+    const std::string shape = "chamber8 ORAS(16) subdomain n=" + std::to_string(ni) +
+                              " p=" + std::to_string(p);
+    b.entries.push_back({"ldlt_solve", shape, 0,
+                         bench::time_median(b.reps, [&] { f.solve_copy(rhs.view(), x.view()); }),
+                         b.reps});
+  }
+  const index_t cn = chamber.matrix.rows(), s = 168, p = 8;
+  const DenseMatrix<cd> v = random_block<cd>(cn, s, 13);
+  const DenseMatrix<cd> w = random_block<cd>(cn, p, 14);
+  DenseMatrix<cd> h(s, p);
+  b.kernel("gemm", "proj CN complex n=1176 s=168 p=8", [&](const KernelExecutor* ex) {
+    gemm<cd>(Trans::C, Trans::N, cd(1), v.view(), w.view(), cd(0), h.view(), ex);
+  });
 }
 
 }  // namespace
@@ -217,6 +256,8 @@ int main(int argc, char** argv) {
       column_norms<double>(m.view(), norms.data(), ex);
     });
   }
+
+  complex_chamber_rows(b);
 
   // Alloc churn: the workspace-hoisting claim of DESIGN.md §11, measured.
   // Both rows must be exactly 0 allocations per steady-state iteration;

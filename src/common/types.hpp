@@ -58,4 +58,40 @@ inline real_t<T> real_part(T x) noexcept {
   return scalar_traits<T>::real(x);
 }
 
+namespace detail {
+
+// Products for the hot kernels. A plain std::complex multiply compiled
+// without -ffast-math follows C Annex G: g++ emits the inline product,
+// then a NaN test that branches to the libgcc routine __muldc3 to recover
+// infinities. That branch sits in every inner loop and blocks
+// vectorization. These helpers spell out the inline path in g++'s own
+// operation order,
+//   re = ar*br - ai*bi,   im = ar*bi + ai*br,
+// so every finite result is bitwise identical to `a * b`; only Annex G's
+// infinity recovery is dropped (a NaN or Inf operand still gives a
+// non-finite result). Real scalars take the plain product unchanged.
+template <class T>
+inline T cmul(T a, T b) noexcept {
+  if constexpr (is_complex_v<T>) {
+    const auto ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+    return T(ar * br - ai * bi, ar * bi + ai * br);
+  } else {
+    return a * b;
+  }
+}
+
+// conj(a) * b in the same order: the product with (ar, -ai), whose sign
+// flips are exact, so it is bitwise identical to `conj(a) * b`.
+template <class T>
+inline T conj_mul(T a, T b) noexcept {
+  if constexpr (is_complex_v<T>) {
+    const auto ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+    return T(ar * br + ai * bi, ar * bi - ai * br);
+  } else {
+    return a * b;
+  }
+}
+
+}  // namespace detail
+
 }  // namespace bkr

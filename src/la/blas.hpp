@@ -41,10 +41,12 @@ namespace detail {
 
 // Straight conjugated dot over a contiguous range; the single compiled
 // body shared by the serial and pooled schedules of every reduction.
+// Complex products go through conj_mul (common/types.hpp): bitwise equal
+// to conj(x[i]) * y[i] for finite data, without the __muldc3 branch.
 template <class T>
 T chunk_dot(index_t n, const T* x, const T* y) {
   T s(0);
-  for (index_t i = 0; i < n; ++i) s += conj(x[i]) * y[i];
+  for (index_t i = 0; i < n; ++i) s += conj_mul(x[i], y[i]);
   return s;
 }
 
@@ -133,7 +135,7 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
           const T blj = alpha * b(l, j);
           if (blj == T(0)) continue;
           const T* al = a.col(l);
-          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
+          for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
         }
       }
     };
@@ -166,7 +168,7 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
           const T blj = alpha * conj(b(j, l));
           if (blj == T(0)) continue;
           T* cj = c.col(j);
-          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
+          for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
         }
       }
     };
@@ -207,15 +209,10 @@ BKR_HOT void gemv(Trans ta, T alpha, MatrixView<const T> a, const T* x, T beta, 
     for (index_t l = 0; l < k; ++l) {
       const T xl = alpha * x[l];
       const T* al = a.col(l);
-      for (index_t i = 0; i < m; ++i) y[i] += al[i] * xl;
+      for (index_t i = 0; i < m; ++i) y[i] += detail::cmul(al[i], xl);
     }
   } else {
-    for (index_t i = 0; i < m; ++i) {
-      const T* ai = a.col(i);
-      T s(0);
-      for (index_t l = 0; l < k; ++l) s += conj(ai[l]) * x[l];
-      y[i] += alpha * s;
-    }
+    for (index_t i = 0; i < m; ++i) y[i] += alpha * detail::chunk_dot(k, a.col(i), x);
   }
 }
 
@@ -369,12 +366,12 @@ BKR_HOT void tree_column_norms(MatrixView<const T> x, real_t<T>* out,
 
 template <class T>
 BKR_HOT void axpy(index_t n, T alpha, const T* x, T* y) {
-  for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  for (index_t i = 0; i < n; ++i) y[i] += detail::cmul(alpha, x[i]);
 }
 
 template <class T>
 BKR_HOT void scal(index_t n, T alpha, T* x) {
-  for (index_t i = 0; i < n; ++i) x[i] *= alpha;
+  for (index_t i = 0; i < n; ++i) x[i] = detail::cmul(x[i], alpha);
 }
 
 // Frobenius norm of a view.
@@ -453,10 +450,10 @@ BKR_HOT void trsm_right_upper(MatrixView<const T> r, MatrixView<T> x,
         const T rlj = r(l, j);
         if (rlj == T(0)) continue;
         const T* xl = x.col(l);
-        for (index_t i = i0; i < i1; ++i) xj[i] -= xl[i] * rlj;
+        for (index_t i = i0; i < i1; ++i) xj[i] -= detail::cmul(xl[i], rlj);
       }
       const T inv = T(1) / r(j, j);
-      for (index_t i = i0; i < i1; ++i) xj[i] *= inv;
+      for (index_t i = i0; i < i1; ++i) xj[i] = detail::cmul(xj[i], inv);
     }
   };
   if (ex != nullptr && n > 1 && ex->engage(Kernel::Trsm, n * p * p)) {

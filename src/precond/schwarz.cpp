@@ -65,6 +65,16 @@ SchwarzPreconditioner<T>::SchwarzPreconditioner(const CsrMatrix<T>& a, SchwarzOp
       }
     }
     local.factor = std::make_unique<SparseLDLT<T>>(sub, opts_.ordering);
+    // Reorder the overlapping set into factor order for apply().
+    const std::vector<index_t>& perm = local.factor->perm();
+    std::vector<index_t> rows(perm.size());
+    std::vector<double> weights(perm.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      rows[k] = local.rows[size_t(perm[k])];
+      weights[k] = local.weights[size_t(perm[k])];
+    }
+    local.rows = std::move(rows);
+    local.weights = std::move(weights);
     setup_times[size_t(i)] = timer.seconds();
     factor_nnz[size_t(i)] = local.factor->factor_nnz();
     sub_rows[size_t(i)] = index_t(local.rows.size());
@@ -76,13 +86,44 @@ SchwarzPreconditioner<T>::SchwarzPreconditioner(const CsrMatrix<T>& a, SchwarzOp
   } else {
     for (index_t i = 0; i < opts_.subdomains; ++i) build_one(i);
   }
+  for (const index_t rows : sub_rows) largest_ = std::max(largest_, rows);
+  const index_t lanes = opts_.parallel ? std::min(ThreadPool::global().size(), opts_.subdomains) : 1;
+  return_scratch(checkout_scratch(lanes, 1));
   std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.largest_subdomain = largest_;
   for (index_t i = 0; i < opts_.subdomains; ++i) {
     stats_.setup_seconds_sum += setup_times[size_t(i)];
     stats_.setup_seconds_max = std::max(stats_.setup_seconds_max, setup_times[size_t(i)]);
     stats_.factor_nnz_total += factor_nnz[size_t(i)];
-    stats_.largest_subdomain = std::max(stats_.largest_subdomain, sub_rows[size_t(i)]);
   }
+}
+
+// Once per apply, amortized over nsub local direct solves. The panels only
+// grow, so steady-state applies of one width allocate nothing; a fresh
+// Scratch is built only while another apply holds the spare one.
+template <class T>
+BKR_COLD auto SchwarzPreconditioner<T>::checkout_scratch(index_t lanes, index_t p)
+    -> std::unique_ptr<Scratch> {
+  std::unique_ptr<Scratch> scratch;
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    if (!spare_.empty()) {
+      scratch = std::move(spare_.back());
+      spare_.pop_back();
+    }
+  }
+  if (!scratch) scratch = std::make_unique<Scratch>();
+  if (index_t(scratch->panels.size()) < lanes) scratch->panels.resize(size_t(lanes));
+  for (auto& panel : scratch->panels)
+    if (index_t(panel.size()) < largest_ * p) panel.resize(size_t(largest_ * p));
+  scratch->times.resize(locals_.size());
+  return scratch;
+}
+
+template <class T>
+BKR_COLD void SchwarzPreconditioner<T>::return_scratch(std::unique_ptr<Scratch> scratch) {
+  std::lock_guard<std::mutex> lock(scratch_mutex_);
+  spare_.push_back(std::move(scratch));
 }
 
 template <class T>
@@ -92,39 +133,45 @@ void SchwarzPreconditioner<T>::apply(MatrixView<const T> r, MatrixView<T> z) {
   const index_t p = r.cols();
   z.set_zero();
   const index_t nsub = index_t(locals_.size());
-  std::vector<double> times(static_cast<size_t>(nsub), 0.0);
-  // Local solves are independent; the scatter-add is serialized per
-  // subdomain to keep the (shared-memory) sum deterministic.
-  std::vector<DenseMatrix<T>> local_results(static_cast<size_t>(nsub));
-  auto solve_one = [&](index_t i) {
+  const index_t lanes = opts_.parallel ? std::min(ThreadPool::global().size(), nsub) : 1;
+  std::unique_ptr<Scratch> scratch = checkout_scratch(lanes, p);
+  // Gather r into subdomain i's factor order, row-interleaved, and solve.
+  auto solve_one = [&](index_t i, T* x) {
     Timer timer;
     const Local& local = locals_[size_t(i)];
     const index_t ni = index_t(local.rows.size());
-    DenseMatrix<T> rhs(ni, p);
-    for (index_t c = 0; c < p; ++c)
-      for (index_t l = 0; l < ni; ++l) rhs(l, c) = r(local.rows[size_t(l)], c);
-    local.factor->solve(rhs.view());
-    local_results[size_t(i)] = std::move(rhs);
-    times[size_t(i)] = timer.seconds();
+    for (index_t k = 0; k < ni; ++k)
+      for (index_t c = 0; c < p; ++c) x[k * p + c] = r(local.rows[size_t(k)], c);
+    local.factor->solve_factor_order(x, p);
+    scratch->times[size_t(i)] = timer.seconds();
   };
-  if (opts_.parallel) {
-    ThreadPool::global().parallel_for(nsub, solve_one);
-  } else {
-    for (index_t i = 0; i < nsub; ++i) solve_one(i);
-  }
-  for (index_t i = 0; i < nsub; ++i) {
-    const Local& local = locals_[size_t(i)];
-    const auto& sol = local_results[size_t(i)];
-    for (index_t c = 0; c < p; ++c)
-      for (index_t l = 0; l < index_t(local.rows.size()); ++l)
-        z(local.rows[size_t(l)], c) +=
-            scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(l)])) * sol(l, c);
+  // Waves of one subdomain per lane. The local solves of a wave are
+  // independent; the weighted scatter-add then runs in subdomain order to
+  // keep the (shared-memory) sum deterministic.
+  for (index_t i0 = 0; i0 < nsub; i0 += lanes) {
+    const index_t wave = std::min(lanes, nsub - i0);
+    if (wave == 1) {
+      solve_one(i0, scratch->panels[0].data());
+    } else {
+      ThreadPool::global().parallel_for(
+          wave, [&](index_t t) { solve_one(i0 + t, scratch->panels[size_t(t)].data()); });
+    }
+    for (index_t t = 0; t < wave; ++t) {
+      const Local& local = locals_[size_t(i0 + t)];
+      const T* x = scratch->panels[size_t(t)].data();
+      for (index_t k = 0; k < index_t(local.rows.size()); ++k) {
+        const T w = scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(k)]));
+        for (index_t c = 0; c < p; ++c)
+          z(local.rows[size_t(k)], c) += detail::cmul(w, x[k * p + c]);
+      }
+    }
   }
   double sum = 0, mx = 0;
-  for (const double t : times) {
+  for (const double t : scratch->times) {
     sum += t;
     mx = std::max(mx, t);
   }
+  return_scratch(std::move(scratch));
   // Once-per-apply bookkeeping, amortized over nsub local direct solves
   // and uncontended from the (serial) solver loop — cold by design.
   BKR_COLD {

@@ -14,6 +14,12 @@
 //          algebraically, B_i = A|_i + i*beta*|diag| (complex problems)
 //          or + beta*|diag| (real) on rows cut by the decomposition.
 //
+// Each subdomain keeps its overlapping set in the order of its factor, so
+// apply() gathers the residual straight into a row-interleaved solve panel
+// and scatters from it. Panels are per lane and sized at set-up to the
+// largest subdomain; the scatter-add runs in subdomain order, so z does
+// not depend on the lane count.
+//
 // Per-subdomain setup/apply times are recorded and reduced as both a sum
 // (the single-node cost) and a max (the critical path of an ideal
 // distributed run) — the basis of the fig. 7 scaling reproduction.
@@ -66,14 +72,27 @@ class SchwarzPreconditioner final : public Preconditioner<T> {
 
  private:
   struct Local {
-    std::vector<index_t> rows;    // global indices of the overlapping set
-    std::vector<double> weights;  // partition of unity
+    std::vector<index_t> rows;    // global indices of the overlapping set, factor order
+    std::vector<double> weights;  // partition of unity, factor order
     std::unique_ptr<SparseLDLT<T>> factor;
   };
+  // Working memory of one apply(): a row-interleaved panel per lane and
+  // the per-subdomain timings. Applies running concurrently on one
+  // preconditioner each check out their own.
+  struct Scratch {
+    std::vector<std::vector<T>> panels;
+    std::vector<double> times;
+  };
+
+  std::unique_ptr<Scratch> checkout_scratch(index_t lanes, index_t p);
+  void return_scratch(std::unique_ptr<Scratch> scratch);
 
   index_t n_ = 0;
   SchwarzOptions opts_;
   std::vector<Local> locals_;
+  index_t largest_ = 0;  // rows of the largest subdomain
+  std::mutex scratch_mutex_;
+  std::vector<std::unique_ptr<Scratch>> spare_ BKR_GUARDED_BY(scratch_mutex_);
   mutable std::mutex stats_mutex_;
   SchwarzStats stats_ BKR_GUARDED_BY(stats_mutex_);
 };

@@ -127,12 +127,13 @@ class CsrMatrix {
 
  private:
   // Shared row-range workers: the single compiled body behind both the
-  // serial and the pooled schedules.
+  // serial and the pooled schedules. Complex products use detail::cmul
+  // (bitwise equal to a * x for finite data, no __muldc3 branch).
   void spmv_rows(index_t i0, index_t i1, const T* x, T* y) const {
     for (index_t i = i0; i < i1; ++i) {
       T s(0);
       for (index_t l = rowptr_[size_t(i)]; l < rowptr_[size_t(i) + 1]; ++l)
-        s += values_[size_t(l)] * x[colind_[size_t(l)]];
+        s += detail::cmul(values_[size_t(l)], x[colind_[size_t(l)]]);
       y[i] = s;
     }
   }
@@ -145,7 +146,7 @@ class CsrMatrix {
       for (index_t l = rowptr_[size_t(i)]; l < rowptr_[size_t(i) + 1]; ++l) {
         const T a = values_[size_t(l)];
         const index_t c = colind_[size_t(l)];
-        for (index_t j = 0; j < p; ++j) y(i, j) += a * x(c, j);
+        for (index_t j = 0; j < p; ++j) y(i, j) += detail::cmul(a, x(c, j));
       }
     }
   }

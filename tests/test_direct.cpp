@@ -1,11 +1,14 @@
 // Unit tests: fill-reducing orderings and the sparse LDL^T direct solver.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <limits>
 
 #include "direct/factor.hpp"
 #include "fem/maxwell3d.hpp"
 #include "fem/poisson2d.hpp"
+#include "sparse/graph.hpp"
 #include "test_helpers.hpp"
 
 namespace bkr {
@@ -13,6 +16,10 @@ namespace {
 
 using cplx = std::complex<double>;
 using testing::random_matrix;
+
+// Bitwise for finite data: the factorization and the row-interleaved
+// solve must reproduce the std::complex reference code below exactly.
+BKR_TOLERANCE_ORACLE(SparseLDLT);
 
 TEST(Ordering, NestedDissectionIsPermutation) {
   const auto a = poisson2d(13, 11);
@@ -137,6 +144,169 @@ TEST(Direct, SolveCopyLeavesInputIntact) {
   DenseMatrix<double> check(n, 2);
   a.spmm(x.view(), check.view());
   EXPECT_LT(testing::diff_fro<double>(check.view(), b.view()), 1e-11);
+}
+
+// Reference solve: the column-major sweep with plain std::complex
+// arithmetic (Annex G products), one column of B after another in the
+// same factor order as SparseLDLT::solve.
+template <class T>
+void reference_solve(const SparseLDLT<T>& f, MatrixView<T> b) {
+  const index_t n = f.n(), p = b.cols();
+  const auto& perm = f.perm();
+  const auto& lp = f.l_colptr();
+  const auto& li = f.l_rowind();
+  const auto& lx = f.l_values();
+  const auto& dinv = f.d_inverse();
+  DenseMatrix<T> y(n, p);
+  for (index_t r = 0; r < p; ++r)
+    for (index_t i = 0; i < n; ++i) y(i, r) = b(perm[size_t(i)], r);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t l = lp[size_t(j)]; l < lp[size_t(j) + 1]; ++l)
+      for (index_t r = 0; r < p; ++r) y(li[size_t(l)], r) -= lx[size_t(l)] * y(j, r);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t r = 0; r < p; ++r) y(j, r) *= dinv[size_t(j)];
+  for (index_t j = n - 1; j >= 0; --j)
+    for (index_t l = lp[size_t(j)]; l < lp[size_t(j) + 1]; ++l)
+      for (index_t r = 0; r < p; ++r) y(j, r) -= lx[size_t(l)] * y(li[size_t(l)], r);
+  for (index_t r = 0; r < p; ++r)
+    for (index_t i = 0; i < n; ++i) b(perm[size_t(i)], r) = y(i, r);
+}
+
+// Reference factorization: Davis's up-looking LDL^T with plain
+// std::complex arithmetic, in the factor's own ordering.
+struct ReferenceFactor {
+  std::vector<index_t> lp, li;
+  std::vector<cplx> lx, dinv;
+};
+
+ReferenceFactor reference_factor(const CsrMatrix<cplx>& a, const std::vector<index_t>& perm) {
+  const CsrMatrix<cplx> pa = permute_symmetric(a, perm);
+  const index_t n = pa.rows();
+  const auto& rp = pa.rowptr();
+  const auto& ci = pa.colind();
+  std::vector<index_t> parent(size_t(n), -1), flag(size_t(n), -1), lnz(size_t(n), 0);
+  for (index_t k = 0; k < n; ++k) {
+    flag[size_t(k)] = k;
+    for (index_t p = rp[size_t(k)]; p < rp[size_t(k) + 1]; ++p)
+      for (index_t i = ci[size_t(p)]; i < k && flag[size_t(i)] != k; i = parent[size_t(i)]) {
+        if (parent[size_t(i)] == -1) parent[size_t(i)] = k;
+        ++lnz[size_t(i)];
+        flag[size_t(i)] = k;
+      }
+  }
+  ReferenceFactor f;
+  f.lp.assign(size_t(n) + 1, 0);
+  for (index_t k = 0; k < n; ++k) f.lp[size_t(k) + 1] = f.lp[size_t(k)] + lnz[size_t(k)];
+  f.li.resize(size_t(f.lp[size_t(n)]));
+  f.lx.resize(size_t(f.lp[size_t(n)]));
+  const auto un = static_cast<size_t>(n);
+  std::vector<cplx> y(un, cplx(0)), d(un);
+  std::vector<index_t> pattern(un), lfill(un, 0);
+  std::fill(flag.begin(), flag.end(), index_t(-1));
+  for (index_t k = 0; k < n; ++k) {
+    index_t top = n;
+    flag[size_t(k)] = k;
+    for (index_t p = rp[size_t(k)]; p < rp[size_t(k) + 1]; ++p) {
+      index_t i = ci[size_t(p)];
+      if (i > k) continue;
+      y[size_t(i)] += pa.values()[size_t(p)];
+      index_t len = 0;
+      for (; flag[size_t(i)] != k; i = parent[size_t(i)]) {
+        pattern[size_t(len++)] = i;
+        flag[size_t(i)] = k;
+      }
+      while (len > 0) pattern[size_t(--top)] = pattern[size_t(--len)];
+    }
+    d[size_t(k)] = y[size_t(k)];
+    y[size_t(k)] = cplx(0);
+    for (; top < n; ++top) {
+      const index_t i = pattern[size_t(top)];
+      const cplx yi = y[size_t(i)];
+      y[size_t(i)] = cplx(0);
+      const index_t p2 = f.lp[size_t(i)] + lfill[size_t(i)];
+      for (index_t p = f.lp[size_t(i)]; p < p2; ++p) y[size_t(f.li[size_t(p)])] -= f.lx[size_t(p)] * yi;
+      const cplx lki = yi / d[size_t(i)];
+      d[size_t(k)] -= lki * yi;
+      f.li[size_t(p2)] = k;
+      f.lx[size_t(p2)] = lki;
+      ++lfill[size_t(i)];
+    }
+  }
+  for (const cplx dk : d) f.dinv.push_back(cplx(1) / dk);
+  return f;
+}
+
+MaxwellProblem small_maxwell() {
+  MaxwellConfig cfg;
+  cfg.n = 6;
+  cfg.wavelengths = 1.0;
+  cfg.loss = 0.3;
+  return maxwell3d(cfg);
+}
+
+TEST(Direct, ComplexFactorMatchesStdComplexReferenceBitwise) {
+  const auto prob = small_maxwell();
+  const SparseLDLT<cplx> f(prob.matrix);
+  const ReferenceFactor want = reference_factor(prob.matrix, f.perm());
+  EXPECT_EQ(f.l_colptr(), want.lp);
+  EXPECT_EQ(f.l_rowind(), want.li);
+  ASSERT_EQ(f.l_values().size(), want.lx.size());
+  for (size_t l = 0; l < want.lx.size(); ++l) EXPECT_EQ(f.l_values()[l], want.lx[l]) << "L entry " << l;
+  ASSERT_EQ(f.d_inverse().size(), want.dinv.size());
+  for (size_t k = 0; k < want.dinv.size(); ++k) EXPECT_EQ(f.d_inverse()[k], want.dinv[k]) << "D " << k;
+}
+
+TEST(Direct, ComplexSolveMatchesColumnMajorReferenceBitwise) {
+  const auto prob = small_maxwell();
+  const SparseLDLT<cplx> f(prob.matrix);
+  const index_t n = f.n();
+  for (const index_t p : {1, 2, 3, 8, 13}) {
+    const auto b = random_matrix<cplx>(n, p, 70 + unsigned(p));
+    DenseMatrix<cplx> want = copy_of(b);
+    reference_solve<cplx>(f, want.view());
+    for (const index_t threads : {1, 4}) {
+      DenseMatrix<cplx> got = copy_of(b);
+      f.solve(got.view(), threads);
+      for (index_t r = 0; r < p; ++r)
+        for (index_t i = 0; i < n; ++i)
+          EXPECT_EQ(got(i, r), want(i, r)) << "p=" << p << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Direct, WidthEightSolveEqualsEightSingleSolvesBitwise) {
+  const auto prob = small_maxwell();
+  const SparseLDLT<cplx> f(prob.matrix);
+  const index_t n = f.n();
+  const auto b = random_matrix<cplx>(n, 8, 80);
+  DenseMatrix<cplx> block = copy_of(b);
+  f.solve(block.view());
+  for (index_t r = 0; r < 8; ++r) {
+    std::vector<cplx> x(b.col(r), b.col(r) + n);
+    f.solve(MatrixView<cplx>(x.data(), n, 1, n));
+    for (index_t i = 0; i < n; ++i) EXPECT_EQ(x[size_t(i)], block(i, r)) << "column " << r;
+  }
+}
+
+TEST(Direct, NonFiniteRhsGivesNonFiniteSolution) {
+  // The solve products drop Annex G's infinity recovery; a NaN or Inf in
+  // the right-hand side must still surface as a non-finite solution.
+  const auto prob = small_maxwell();
+  const SparseLDLT<cplx> f(prob.matrix);
+  const index_t n = f.n();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const cplx bad : {cplx(std::nan(""), 0.0), cplx(inf, 0.0), cplx(0.0, -inf)}) {
+    DenseMatrix<cplx> x = random_matrix<cplx>(n, 2, 90);
+    x(n / 2, 1) = bad;
+    f.solve(x.view());
+    bool finite0 = true, finite1 = true;
+    for (index_t i = 0; i < n; ++i) {
+      finite0 = finite0 && std::isfinite(std::abs(x(i, 0)));
+      finite1 = finite1 && std::isfinite(std::abs(x(i, 1)));
+    }
+    EXPECT_TRUE(finite0);  // the other column is untouched
+    EXPECT_FALSE(finite1);
+  }
 }
 
 // Property sweep: LDL^T solves SPD grid systems of assorted shapes.

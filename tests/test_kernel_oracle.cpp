@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -309,6 +310,129 @@ TEST(KernelOracle, ColumnNormsThreadCountInvariant) {
   check_column_norms<double>(0, 3, 63);  // empty columns -> all zeros
   check_column_norms<double>(1, 1, 64);
   check_column_norms<double>(kReduceChunk * 2, 4, 65);
+}
+
+// ---------------------------------------------------------------------------
+// Complex products without Annex G's __muldc3 fallback (detail::cmul and
+// detail::conj_mul): bitwise equal, for finite data, to the plain
+// std::complex reference loops below, which keep the legacy loop order.
+// ---------------------------------------------------------------------------
+
+BKR_TOLERANCE_ORACLE(cmul);  // bitwise for finite data
+BKR_TOLERANCE_ORACLE(conj_mul);  // bitwise for finite data
+
+using cd = std::complex<double>;
+
+void reference_gemm(Trans ta, Trans tb, cd alpha, const DenseMatrix<cd>& a,
+                    const DenseMatrix<cd>& b, cd beta, DenseMatrix<cd>& c) {
+  const index_t m = c.rows(), n = c.cols();
+  const index_t k = (ta == Trans::N) ? a.cols() : a.rows();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) c(i, j) *= beta;
+  if (ta == Trans::N && tb == Trans::N) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t l = 0; l < k; ++l) {
+        const cd blj = alpha * b(l, j);
+        for (index_t i = 0; i < m; ++i) c(i, j) += a(i, l) * blj;
+      }
+  } else if (ta == Trans::C && tb == Trans::N) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) {
+        cd s(0);
+        for (index_t l = 0; l < k; ++l) s += std::conj(a(l, i)) * b(l, j);
+        c(i, j) += alpha * s;
+      }
+  } else {  // N * C
+    for (index_t l = 0; l < k; ++l)
+      for (index_t j = 0; j < n; ++j) {
+        const cd blj = alpha * std::conj(b(j, l));
+        for (index_t i = 0; i < m; ++i) c(i, j) += a(i, l) * blj;
+      }
+  }
+}
+
+TEST(KernelOracle, ComplexGemmMatchesStdComplexReferenceBitwise) {
+  const cd alpha(0.75, -1.25), beta(0.5, 0.25);
+  const std::pair<Trans, Trans> cases[] = {
+      {Trans::C, Trans::N}, {Trans::N, Trans::N}, {Trans::N, Trans::C}};
+  unsigned seed = 400;
+  for (const auto& [ta, tb] : cases)
+    for (const index_t m : {index_t(1), index_t(37), index_t(168)}) {
+      const index_t n = 8, k = 45;
+      const DenseMatrix<cd> a = testing::random_matrix<cd>(ta == Trans::N ? m : k,
+                                                           ta == Trans::N ? k : m, seed++);
+      const DenseMatrix<cd> b = testing::random_matrix<cd>(tb == Trans::N ? k : n,
+                                                           tb == Trans::N ? n : k, seed++);
+      const DenseMatrix<cd> c0 = testing::random_matrix<cd>(m, n, seed++);
+      DenseMatrix<cd> want = copy_of(c0), got = copy_of(c0);
+      reference_gemm(ta, tb, alpha, a, b, beta, want);
+      gemm<cd>(ta, tb, alpha, a.view(), b.view(), beta, got.view());
+      expect_identical<cd>(MatrixView<const cd>(got.data(), m, n, got.ld()),
+                           MatrixView<const cd>(want.data(), m, n, want.ld()), "complex gemm");
+    }
+}
+
+TEST(KernelOracle, ComplexGemvDotAxpyMatchStdComplexReferenceBitwise) {
+  const index_t m = 53, k = 29;
+  const cd alpha(-0.5, 2.0), beta(1.5, -0.75);
+  const DenseMatrix<cd> a = testing::random_matrix<cd>(m, k, 410);
+  const DenseMatrix<cd> x = testing::random_matrix<cd>(m, 1, 411);
+  const DenseMatrix<cd> y0 = testing::random_matrix<cd>(m, 1, 412);
+  // gemv, no transpose: y = beta*y + sum_l A(:,l) * (alpha*x[l]).
+  std::vector<cd> want(y0.col(0), y0.col(0) + m), got = want;
+  for (auto& v : want) v *= beta;
+  for (index_t l = 0; l < k; ++l) {
+    const cd xl = alpha * x(l, 0);
+    for (index_t i = 0; i < m; ++i) want[size_t(i)] += a(i, l) * xl;
+  }
+  gemv<cd>(Trans::N, alpha, a.view(), x.col(0), beta, got.data());
+  for (index_t i = 0; i < m; ++i) EXPECT_EQ(got[size_t(i)], want[size_t(i)]) << "gemv N " << i;
+  // gemv, conjugate transpose: y[i] = beta*y[i] + alpha * A(:,i)^H x.
+  std::vector<cd> want_c(y0.col(0), y0.col(0) + k), got_c = want_c;
+  for (index_t i = 0; i < k; ++i) {
+    cd s(0);
+    for (index_t l = 0; l < m; ++l) s += std::conj(a(l, i)) * x(l, 0);
+    want_c[size_t(i)] = want_c[size_t(i)] * beta + alpha * s;
+  }
+  gemv<cd>(Trans::C, alpha, a.view(), x.col(0), beta, got_c.data());
+  for (index_t i = 0; i < k; ++i) EXPECT_EQ(got_c[size_t(i)], want_c[size_t(i)]) << "gemv C " << i;
+  // dot: straight conjugated sum.
+  cd d(0);
+  for (index_t i = 0; i < m; ++i) d += std::conj(x(i, 0)) * y0(i, 0);
+  EXPECT_EQ(dot<cd>(m, x.col(0), y0.col(0)), d);
+  // axpy.
+  std::vector<cd> ya(y0.col(0), y0.col(0) + m), yb = ya;
+  for (index_t i = 0; i < m; ++i) ya[size_t(i)] += alpha * x(i, 0);
+  axpy<cd>(m, alpha, x.col(0), yb.data());
+  for (index_t i = 0; i < m; ++i) EXPECT_EQ(yb[size_t(i)], ya[size_t(i)]) << "axpy " << i;
+}
+
+TEST(KernelOracle, ComplexSpmmMatchesStdComplexReferenceBitwise) {
+  const CsrMatrix<cd> a = skewed_sparse<cd>(90, 70, 420);
+  const DenseMatrix<cd> x = testing::random_matrix<cd>(70, 3, 421);
+  DenseMatrix<cd> got(90, 3);
+  a.spmm(x.view(), got.view());
+  for (index_t i = 0; i < a.rows(); ++i)
+    for (index_t j = 0; j < 3; ++j) {
+      cd s(0);
+      for (index_t l = a.rowptr()[size_t(i)]; l < a.rowptr()[size_t(i) + 1]; ++l)
+        s += a.values()[size_t(l)] * x(a.colind()[size_t(l)], j);
+      EXPECT_EQ(got(i, j), s) << "spmm (" << i << "," << j << ")";
+    }
+}
+
+TEST(KernelOracle, NonFiniteComplexProductsStayNonFinite) {
+  // Dropping Annex G's infinity recovery must not turn Inf or NaN inputs
+  // into finite results: the solvers' non-finite checks rely on it.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const cd bad : {cd(inf, 0.0), cd(0.0, inf), cd(std::nan(""), 1.0)}) {
+    std::vector<cd> x(40, cd(0.5, -0.25)), y(40, cd(1.0, 2.0));
+    x[17] = bad;
+    const cd d = dot<cd>(40, x.data(), y.data());
+    EXPECT_FALSE(std::isfinite(d.real()) && std::isfinite(d.imag()));
+    axpy<cd>(40, cd(0.3, 0.7), x.data(), y.data());
+    EXPECT_FALSE(std::isfinite(y[17].real()) && std::isfinite(y[17].imag()));
+  }
 }
 
 // The executor path must also be selected lane-independently: below the

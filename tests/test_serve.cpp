@@ -391,6 +391,37 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
   EXPECT_EQ(srv.wait_exit(), 0);
 }
 
+TEST(Serve, ClosedLoopBurstsAtDefaultTenantCapAreNeverRefused) {
+  // A closed-loop client sends its next 8-wide burst as soon as it reads
+  // the last answer of the previous one. The server frees a tenant slot
+  // before it writes the answer, so at the default -tenant_cap 8 no
+  // request of the next burst may find a finished one still counted.
+  ServeProc srv({"-workers", "1"});
+  ASSERT_TRUE(srv.alive());
+  int overloaded = 0;
+  for (int burst = 0; burst < 40; ++burst) {
+    for (int k = 0; k < 8; ++k) {
+      std::string extra = "\"hold\":true,\"nu\":";
+      extra += std::to_string(0.1 * (k + 1));
+      srv.send(solve_req(std::to_string(burst) + "-" + std::to_string(k), "poisson2d:16",
+                         "pseudo_gmres", extra));
+    }
+    srv.send("{\"op\":\"flush\"}");
+    for (int k = 0; k < 8; ++k) {
+      const std::string r = srv.read_response();
+      ASSERT_FALSE(r.empty());
+      if (json_str(r, "status") == "overloaded") {
+        ++overloaded;
+      } else {
+        EXPECT_EQ(json_str(r, "status"), "converged");
+      }
+    }
+  }
+  EXPECT_EQ(overloaded, 0);
+  srv.send("{\"op\":\"shutdown\"}");
+  EXPECT_EQ(srv.wait_exit(), 0);
+}
+
 TEST(Serve, EofOnStdinShutsDownGracefully) {
   ServeProc srv({"-workers", "1"});
   ASSERT_TRUE(srv.alive());

@@ -604,12 +604,20 @@ class Server {
 
   /* -- responses (every admitted request exits through here exactly once) */
 
+  // The tenant slot is freed before the answer is written: a closed-loop
+  // client sends its next request as soon as it reads this one, and must
+  // not find its own finished request still counted against -tenant_cap.
+  // admitted_, the registry entry and the drain notify change only after
+  // the write, so a drain still waits for the last answer to go out.
   void finish(const ReqPtr& req, const std::string& json) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto t = tenant_in_flight_.find(req->tenant);
+      if (t != tenant_in_flight_.end() && --t->second <= 0) tenant_in_flight_.erase(t);
+    }
     req->conn->write_line(json);
     std::lock_guard<std::mutex> lock(mutex_);
     --admitted_;
-    const auto t = tenant_in_flight_.find(req->tenant);
-    if (t != tenant_in_flight_.end() && --t->second <= 0) tenant_in_flight_.erase(t);
     registry_.erase(req->id);
     drained_cv_.notify_all();
   }
