@@ -102,8 +102,8 @@ void run_sequence(const Options& opts, const std::vector<CsrMatrix<T>*>& matrice
   std::printf("%s (m=%lld, k=%lld, tol=%g, %zu solves)\n", method.c_str(),
               static_cast<long long>(sopts.restart), static_cast<long long>(sopts.recycle),
               sopts.tol, rhs.size());
-  GcroDr<T> gcro(sopts.recycle > 0 ? sopts : SolverOptions{});
-  PseudoGcroDr<T> pgcro(sopts.recycle > 0 ? sopts : SolverOptions{});
+  GcroDr<T> gcro(sopts);  // -recycle 0 runs it as (block) GMRES
+  PseudoGcroDr<T> pgcro(sopts);
   index_t total_iterations = 0;
   double total_seconds = 0;
   for (size_t s = 0; s < rhs.size(); ++s) {

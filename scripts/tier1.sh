@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SANITIZE_FILTER="Trace|CApi"
+SANITIZE_FILTER="Trace|CApi|GmresGolden"
 if [[ "${1:-}" == "--full-sanitize" ]]; then
   SANITIZE_FILTER=""
 fi
@@ -48,6 +48,18 @@ rm -f "$SESSION_CACHE"
   -cache_file "$SESSION_CACHE" -assert_improvement > /dev/null
 ./build/examples/example_sequence_driver -grid 48 -method pbgcrodr \
   -cache_file "$SESSION_CACHE" -assert_improvement > /dev/null
+
+echo "==> driver smoke: GCRO-DR with k = 0 is GMRES"
+# The driver's -recycle 0 keeps every other flag and runs GCRO-DR without
+# a recycled space, which is GMRES: the sequence totals must agree.
+cmake --build build -j --target example_solver_driver
+total_iterations() {
+  ./build/examples/example_solver_driver "$@" | awk '/^  ---/ { getline; print $1 }'
+}
+GMRES_ITS=$(total_iterations -krylov_method gmres)
+GCRODR0_ITS=$(total_iterations -krylov_method gcrodr -recycle 0)
+[[ -n "$GMRES_ITS" && "$GMRES_ITS" == "$GCRODR0_ITS" ]] \
+  || { echo "driver smoke: gcrodr -recycle 0 took ${GCRODR0_ITS:-?} iterations, gmres ${GMRES_ITS:-?}"; exit 1; }
 
 echo "==> bench smoke: kernel trajectory schema + regression gate"
 cmake --build build -j --target bench_kernels bench_check

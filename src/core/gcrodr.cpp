@@ -12,7 +12,7 @@ namespace bkr {
 namespace {
 
 // Workspace slot map (mats_ slot kWsProjectScratch is detail::project's).
-enum : int { kWsUpdateT = kWsSolverBase, kWsYc };
+enum : int { kWsUpdateT = kWsSolverBase, kWsYc, kWsSmallY };
 
 // One (block) Arnoldi cycle, optionally on the projected operator
 // (I - C C^H) op. Collects the raw block Hessenberg (hbar), its
@@ -49,7 +49,10 @@ struct ArnoldiCycle {
     if (side == PrecondSide::Flexible) z.resize(n, max_steps * p);
     hbar.resize((max_steps + 1) * p, max_steps * p);
     ghat.resize((max_steps + 1) * p, p);
-    if (kp > 0) e.resize(kp, max_steps * p);
+    if (kp > 0) {
+      e.resize(kp, max_steps * p);
+      ecol.resize(kp, p);
+    }
     qr.reshape((max_steps + 1) * p, max_steps * p);
     steps = 0;
     hit_tolerance = false;
@@ -59,7 +62,6 @@ struct ArnoldiCycle {
     w.resize(n, p);
     hcol.resize((max_steps + 2) * p, p);
     sblock.resize(p, p);
-    ecol.resize(std::max<index_t>(kp, 1), p);
     relres.reserve(static_cast<size_t>(p));
     ev.residuals.reserve(static_cast<size_t>(p));
     if (opts.record_history)
@@ -95,10 +97,10 @@ struct ArnoldiCycle {
         // (one additional reduction per iteration — the 2(m-k) vs m count
         // of section III-D).
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        gemm<T>(Trans::C, Trans::N, T(1), c, w.view(), T(0), ecol.block(0, 0, kp, p), ex);
+        gemm<T>(Trans::C, Trans::N, T(1), c, w.view(), T(0), ecol.view(), ex);
         detail::count_reductions(st, comm, trace, 1, kp * p * 8);
-        gemm<T>(Trans::N, Trans::N, T(-1), c, ecol.block(0, 0, kp, p), T(1), w.view(), ex);
-        copy_into<T>(ecol.block(0, 0, kp, p), e.block(0, j * p, kp, p));
+        gemm<T>(Trans::N, Trans::N, T(-1), c, ecol.view(), T(1), w.view(), ex);
+        copy_into<T>(ecol.view(), e.block(0, j * p, kp, p));
       }
       hcol.set_zero();
       detail::project<T>(v.view(), (j + 1) * p, w.view(), hcol.view(), opts.ortho, p, st, comm,
@@ -166,13 +168,11 @@ struct ArnoldiCycle {
     return detail::usable_columns(qr, steps * p);
   }
 
-  // Least-squares solution Y over the first s Krylov columns.
-  [[nodiscard]] DenseMatrix<T> least_squares(index_t s, index_t p) const {
-    DenseMatrix<T> y(s, p);
-    copy_into<T>(MatrixView<const T>(ghat.data(), s, p, ghat.ld()), y.view());
+  // Least-squares solution Y over the first s Krylov columns, into `y`.
+  void least_squares(index_t s, DenseMatrix<T>& y) const {
+    copy_into<T>(MatrixView<const T>(ghat.data(), s, y.cols(), ghat.ld()), y.view());
     const DenseMatrix<T> r = qr.r_matrix();
     trsm_left_upper<T>(MatrixView<const T>(r.data(), s, s, r.ld()), y.view());
-    return y;
   }
 
   // The basis reconstructing solution updates (preconditioned space for
@@ -182,6 +182,16 @@ struct ArnoldiCycle {
     return MatrixView<const T>(basis.data(), n, s, basis.ld());
   }
 };
+
+// True when every entry of a block is exactly zero: a null solution
+// update, after which a deterministic restart would replay the cycle.
+template <class T>
+bool all_zero(MatrixView<const T> y) {
+  for (index_t c = 0; c < y.cols(); ++c)
+    for (index_t i = 0; i < y.rows(); ++i)
+      if (y(i, c) != T(0)) return false;
+  return true;
+}
 
 // Harmonic Ritz deflation after the first (unprojected) cycle: the k
 // smallest harmonic Ritz pairs of the Hessenberg, via the generalized
@@ -214,14 +224,14 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   PrecondSide side = (m == nullptr) ? PrecondSide::None : opts_.side;
   if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
   const index_t mdim = opts_.restart;
+  if (opts_.recycle < 0) throw std::invalid_argument("GcroDr: opts.recycle must be >= 0");
+  // k = 0 is (block) GMRES(m): every recycle step below is skipped.
   const index_t k = std::min(opts_.recycle, mdim - 1);
-  if (k <= 0) throw std::invalid_argument("GcroDr: opts.recycle must be in [1, restart)");
   const index_t kp = k * p;
   const bool matrix_changed = (solves_ == 0) || (new_matrix && !opts_.same_system);
   ++solves_;
 
-  return detail::run_solver_ws<T>("gcrodr", n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
+  auto body = [&](SolveStats& st, SolverWorkspace<T>& ws) {
   detail::Resilience<T> rz{opts_.recovery, opts_.fault};
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
@@ -239,6 +249,10 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   }
   for (auto& v : bnorm)
     if (v == Real(0)) v = Real(1);
+  if (!detail::finite_norms(bnorm.data(), p)) {
+    st.status = SolveStatus::NonFiniteResidual;
+    return;
+  }
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
@@ -248,7 +262,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   if (opts_.record_history)
     for (index_t c = 0; c < p; ++c)
       st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
-  if (!detail::finite_norms(bnorm.data(), p) || !detail::finite_norms(rnorm.data(), p)) {
+  if (!detail::finite_norms(rnorm.data(), p)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
   }
@@ -300,7 +314,8 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     }
   };
   // Add a solution update that lives in Krylov space (Right needs one
-  // M^{-1}; everything else is direct).
+  // M^{-1}; everything else is direct — for Flexible both the basis part
+  // and U Y_k already live in solution space).
   auto add_update = [&](MatrixView<const T> t) {
     if (side == PrecondSide::Right) {
       {
@@ -315,7 +330,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     }
   };
 
-  if (u_.cols() > 0) {
+  if (kp > 0 && u_.cols() > 0) {
     if (matrix_changed) {
       // Lines 4-6: [Q, R] = distributed_qr(op(U)); C = Q; U = U R^{-1}.
       c_.resize(n, u_.cols());
@@ -347,28 +362,74 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       st.converged = true;
       return;
     }
-  } else {
-    // First cycle of the sequence: m steps of plain (block) GMRES
-    // (fig. 1 lines 11-20).
+  }
+
+  // Restart cycles. Until a recycled space exists (always, for k = 0) a
+  // cycle is m steps of plain (block) GMRES (fig. 1 lines 11-20); after
+  // that, m - k steps on the projected operator (I - C C^H) op (lines
+  // 22-39).
+  while (st.iterations < opts_.max_iterations) {
     ++st.cycles;
-    const index_t s =
-        cycle.run(a, m, side, r.view(), MatrixView<const T>(nullptr, 0, 0, 0), mdim, opts_, bnorm,
-                  st, comm, trace, &rz, ws);
+    const index_t kcur = kp > 0 ? u_.cols() : 0;
+    // The recycle step closing this cycle: the first cycle seeds U_k, C_k
+    // (lines 16-20); later ones refresh them when the matrix changed.
+    const bool seed = kp > 0 && kcur == 0;
+    const bool refresh = kcur > 0 && matrix_changed;
+    // C^H R_{j-1} for the solution update (line 28; one reduction — this
+    // is "the update of the least squares problem" of section III-D).
+    DenseMatrix<T>* yc = nullptr;
+    if (kcur > 0) {
+      yc = &ws.mat(kWsYc, kcur, p);
+      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+      gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), yc->view(), ex);
+      st.reductions += 1;
+      if (comm != nullptr) comm->reduction(kcur * p * 8);
+    }
+
+    const index_t s = cycle.run(a, m, side, r.view(),
+                                kcur > 0 ? MatrixView<const T>(c_.view()) : MatrixView<const T>(),
+                                kcur > 0 ? mdim - k : mdim, opts_, bnorm, st, comm, trace, &rz, ws);
     if (cycle.fatal) {
       // The least squares over a poisoned Hessenberg would corrupt x;
       // leave the iterate as it was.
       st.status = SolveStatus::NonFiniteResidual;
-      return;
+      break;
     }
-    if (s == 0) {
+    if (s == 0 && !cycle.hit_tolerance) {
       st.status = SolveStatus::Stagnated;
-      return;  // complete stagnation
+      break;  // no usable direction was produced
     }
-    const DenseMatrix<T> y = cycle.least_squares(s, p);
-    DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
-    gemm<T>(Trans::N, Trans::N, T(1), cycle.update_basis(side, n, s), y.view(), T(0), t.view(), ex);
-    add_update(t.view());
-    {
+    if (s > 0) {
+      DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
+      bool null_update = true;
+      {
+        obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
+        DenseMatrix<T>& ym = ws.mat(kWsSmallY, s, p);
+        cycle.least_squares(s, ym);
+        null_update = all_zero<T>(ym.view());
+        gemm<T>(Trans::N, Trans::N, T(1), cycle.update_basis(side, n, s), ym.view(), T(0),
+                t.view(), ex);
+        if (kcur > 0) {
+          // Y_k = C^H R_{j-1} - E Y_m (line 28); X += U Y_k rides along.
+          gemm<T>(Trans::N, Trans::N, T(-1),
+                  MatrixView<const T>(cycle.e.data(), kcur, s, cycle.e.ld()), ym.view(), T(1),
+                  yc->view());
+          null_update = null_update && all_zero<T>(yc->view());
+          gemm<T>(Trans::N, Trans::N, T(1), u_.view(), yc->view(), T(1), t.view(), ex);
+        }
+      }
+      add_update(t.view());
+      if (null_update && !cycle.hit_tolerance && side != PrecondSide::Flexible && !seed &&
+          !refresh) {
+        // An exactly zero update leaves x and the recycled space as they
+        // were, so the next cycle replays this one from an identical state
+        // (the restart is deterministic for a fixed preconditioner):
+        // provably wedged, so stop now.
+        st.status = SolveStatus::Stagnated;
+        break;
+      }
+    }
+    if (seed && s > 0) {
       // Harmonic Ritz deflation seeds U_k, C_k (lines 16-20).
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
       const index_t k_eff = std::min(kp, s);
@@ -405,82 +466,30 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       gemm<T>(Trans::N, Trans::N, T(1), cycle.update_basis(side, n, s), pk.view(), T(0), u_.view(), ex);
       trsm_right_upper<T>(rq.view(), u_.view(), ex);
     }
-    // Recompute the true residual for the EPS test (line 15).
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
-    if (!detail::finite_norms(rnorm.data(), p)) {
-      st.status = SolveStatus::NonFiniteResidual;
-      return;
-    }
-    if (converged()) {
-      st.converged = true;
-      return;
-    }
-  }
-
-  // Outer loop (fig. 1 lines 22-39): cycles of m - k projected steps.
-  const index_t inner = mdim - k;
-  while (st.iterations < opts_.max_iterations) {
-    ++st.cycles;
-    // C^H R_{j-1} for the solution update (line 28; one reduction — this
-    // is "the update of the least squares problem" of section III-D).
-    DenseMatrix<T>& yc = ws.mat(kWsYc, u_.cols(), p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), yc.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(u_.cols() * p * 8);
-    }
-
-    const index_t s =
-        cycle.run(a, m, side, r.view(), c_.view(), inner, opts_, bnorm, st, comm, trace, &rz, ws);
-    if (cycle.fatal) {
-      st.status = SolveStatus::NonFiniteResidual;
-      break;
-    }
-    if (s == 0 && !cycle.hit_tolerance) {
-      st.status = SolveStatus::Stagnated;
-      break;  // stagnation
-    }
-    if (s > 0) {
-      DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-        const DenseMatrix<T> ym = cycle.least_squares(s, p);
-        // Y_k = C^H R_{j-1} - E Y_m (line 28).
-        gemm<T>(Trans::N, Trans::N, T(-1),
-                MatrixView<const T>(cycle.e.data(), u_.cols(), s, cycle.e.ld()), ym.view(), T(1),
-                yc.view());
-        gemm<T>(Trans::N, Trans::N, T(1), cycle.update_basis(side, n, s), ym.view(), T(0),
-                t.view(), ex);
-        gemm<T>(Trans::N, Trans::N, T(1), u_.view(), yc.view(), T(1), t.view(), ex);
+    // Recompute the true residual for the EPS test (lines 15 and 29).
+    // A cycle that spent the budget without its estimates converging ends
+    // the solve either way, so it skips the extra operator apply (a
+    // GmresSmoother with s steps costs s + 1 applies, not s + 2).
+    if (st.iterations < opts_.max_iterations || cycle.hit_tolerance) {
+      detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
+      detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+      if (!detail::finite_norms(rnorm.data(), p)) {
+        st.status = SolveStatus::NonFiniteResidual;
+        break;
       }
-      if (side == PrecondSide::Flexible) {
-        // U is in solution space; add U Y_k directly, basis part too.
-        for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), t.col(c), x.col(c));
-      } else {
-        add_update(t.view());
+      if (converged()) {
+        st.converged = true;
+        break;
       }
-    }
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
-    if (!detail::finite_norms(rnorm.data(), p)) {
-      st.status = SolveStatus::NonFiniteResidual;
-      break;
-    }
-    if (converged()) {
-      st.converged = true;
-      break;
     }
     if (s == 0) {
       st.status = SolveStatus::Stagnated;
       break;
     }
 
-    if (matrix_changed) {
+    if (refresh) {
       // Lines 31-38: refresh the recycled space through the generalized
       // eigenproblem T z = theta W z.
-      const index_t kcur = u_.cols();
       const index_t vcols = (cycle.steps + 1) * p;  // columns of the V basis
       const index_t rows = kcur + vcols;
       const index_t cols = kcur + s;
@@ -571,8 +580,12 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       u_ = std::move(unew);
     }
   }
-  detail::final_residual_check<T>(a, b, x, opts_, st, comm);
-  });
+  };
+  return detail::run_solver_ws<T>(method_, n, p, opts_,
+                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
+                                    body(st, ws);
+                                    detail::final_residual_check<T>(a, b, x, opts_, st, comm);
+                                  });
 }
 
 template <class T>

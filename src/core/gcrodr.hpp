@@ -2,7 +2,10 @@
 //
 // GCRO-DR (Parks et al. 2006) solves sequences A_i X_i = B_i while
 // recycling a k-dimensional (k blocks of p columns in block mode) subspace
-// between cycles and between systems:
+// between cycles and between systems. With k = 0 there is nothing to
+// recycle and every cycle is a plain (block) GMRES(m) cycle: block_gmres
+// and pseudo_block_gmres are these engines with opts.recycle = 0. For
+// k > 0:
 //  * first cycle of the first system: m steps of (block) GMRES, then the
 //    harmonic Ritz vectors of the Hessenberg matrix seed U_k, C_k
 //    (fig. 1 lines 11-20). The harmonic problem is solved in the
@@ -72,8 +75,13 @@ class GcroDr {
     opts_.deadline = deadline;
   }
 
+ protected:
+  // The same engine solving under another trace label (block_gmres).
+  GcroDr(SolverOptions opts, const char* method) : opts_(std::move(opts)), method_(method) {}
+
  private:
   SolverOptions opts_;
+  const char* method_ = "gcrodr";
   DenseMatrix<T> u_, c_;  // persistent recycled subspace (n x k*p)
   index_t solves_ = 0;
 };
@@ -114,8 +122,14 @@ class PseudoGcroDr {
     opts_.deadline = deadline;
   }
 
+ protected:
+  // The same engine solving under another trace label (pseudo_block_gmres).
+  PseudoGcroDr(SolverOptions opts, const char* method)
+      : opts_(std::move(opts)), method_(method) {}
+
  private:
   SolverOptions opts_;
+  const char* method_ = "pseudo_gcrodr";
   // Lane l's i-th recycled column lives at column i*lanes_ + l.
   DenseMatrix<T> u_, c_;
   index_t lanes_ = 0;

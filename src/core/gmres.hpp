@@ -1,14 +1,17 @@
 // (Block / pseudo-block / flexible) GMRES.
 //
-// One implementation covers the whole family of section V-B1:
+// GMRES is GCRO-DR with an empty recycled space (the paper's fig. 1 with
+// k = 0), so these entry points run the engines of core/gcrodr.hpp with
+// opts.recycle = 0 (any other value is ignored) under their own trace
+// labels. The family of section V-B1:
 //  * block_gmres with p = 1 is restarted GMRES(m) (FGMRES when
 //    side == Flexible);
 //  * block_gmres with p > 1 is BGMRES: a single block Krylov space, block
-//    Hessenberg with p x p blocks, CholQR block normalization;
+//    Hessenberg with p x p blocks, CholQR block normalization (GcroDr);
 //  * pseudo_block_gmres runs p independent single-vector Krylov spaces
 //    with fused kernels — one SpMM and one batched reduction per
 //    iteration for all p RHS, as formalized in Belos and implemented in
-//    HPDDM.
+//    HPDDM (PseudoGcroDr).
 //
 // Stopping: every RHS column's relative (unpreconditioned, except for
 // left preconditioning) residual below opts.tol — the EPS test of fig. 1.

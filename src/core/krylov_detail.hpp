@@ -336,8 +336,7 @@ BKR_HOT void project(MatrixView<const T> basis, index_t s, MatrixView<T> w, Matr
   auto count = [&](std::int64_t k) { count_reductions(stats, comm, trace, k); };
   const auto wc = MatrixView<const T>(w.data(), w.rows(), w.cols(), w.ld());
   switch (ortho) {
-    case Ortho::Cgs:
-    case Ortho::CholQr: {
+    case Ortho::Cgs: {
       gemm<T>(Trans::C, Trans::N, T(1), v, wc, T(0), h.block(0, 0, s, w.cols()), ex);
       count(1);
       gemm<T>(Trans::N, Trans::N, T(-1), v, h.block(0, 0, s, w.cols()), T(1), w, ex);

@@ -1,7 +1,8 @@
 // Pseudo-block GCRO-DR: p independent single-vector GCRO-DR instances
 // advanced in lockstep with fused kernels (one SpMM / one batched
 // reduction per global step), each lane owning its own k-column recycled
-// subspace. This is the method of the paper's fig. 8 alternatives 5-6.
+// subspace. This is the method of the paper's fig. 8 alternatives 5-6;
+// with k = 0 it is pseudo-block GMRES.
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -15,8 +16,8 @@ namespace bkr {
 namespace {
 
 // Workspace slot map (mats_ slot kWsProjectScratch is detail::project's).
-enum : int { kWsVin = kWsSolverBase, kWsUpdateT };  // mats_
-enum : int { kWsHcol = kWsSolverBase };             // vecs_
+enum : int { kWsVin = kWsSolverBase, kWsUpdateT, kWsHcol };  // mats_
+enum : int { kWsLaneY = kWsSolverBase };                     // vecs_
 
 // Per-RHS lane of a fused GCRO-DR run (single-vector, contiguous storage).
 template <class T>
@@ -47,15 +48,14 @@ struct Lane {
     steps = 0;
   }
 
-  // Least squares y over the first s columns.
-  [[nodiscard]] std::vector<T> least_squares(index_t s) const {
-    std::vector<T> y(ghat.begin(), ghat.begin() + s);
+  // Least squares y over the first s columns, into `y` (size s).
+  void least_squares(index_t s, std::vector<T>& y) const {
+    std::copy(ghat.begin(), ghat.begin() + s, y.begin());
     for (index_t i = s - 1; i >= 0; --i) {
       T acc = y[size_t(i)];
       for (index_t cc = i + 1; cc < s; ++cc) acc -= qr.r(i, cc) * y[size_t(cc)];
       y[size_t(i)] = acc / qr.r(i, i);
     }
-    return y;
   }
 
   [[nodiscard]] const DenseMatrix<T>& update_basis(PrecondSide side) const {
@@ -194,15 +194,22 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   PrecondSide side = (m == nullptr) ? PrecondSide::None : opts_.side;
   if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
   const index_t mdim = opts_.restart;
+  if (opts_.recycle < 0) throw std::invalid_argument("PseudoGcroDr: opts.recycle must be >= 0");
+  // k = 0 is pseudo-block GMRES(m): every recycle step below is skipped.
   const index_t k = std::min(opts_.recycle, mdim - 1);
-  if (k <= 0) throw std::invalid_argument("PseudoGcroDr: opts.recycle must be in [1, restart)");
   const bool matrix_changed = (solves_ == 0) || (new_matrix && !opts_.same_system);
-  const bool had_recycle = u_.cols() > 0 && lanes_ == p;
+  const bool had_recycle = k > 0 && u_.cols() > 0 && lanes_ == p;
   ++solves_;
 
-  return detail::run_solver_ws<T>("pseudo_gcrodr", n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
+  auto body = [&](SolveStats& st, SolverWorkspace<T>& ws) {
   detail::Resilience<T> rz{opts_.recovery, opts_.fault};
+  // Reduction accounting where one fused batch is ONE comm-model
+  // all-reduce but `count` paper-count synchronizations (MGS).
+  auto note_reductions = [&](std::int64_t count, std::int64_t bytes) {
+    st.reductions += count;
+    if (comm != nullptr) comm->reduction(bytes);
+    if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, count);
+  };
 
   std::vector<Lane<T>> lanes(static_cast<size_t>(p));
   if (had_recycle) {
@@ -216,8 +223,6 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     }
   }
 
-  st.history.resize(size_t(p));
-  st.per_rhs_iterations.assign(size_t(p), 0);
   DenseMatrix<T> scratch;
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
   if (side == PrecondSide::Left) {
@@ -233,6 +238,12 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   }
   for (auto& v : bnorm)
     if (v == Real(0)) v = Real(1);
+  if (!detail::finite_norms(bnorm.data(), p)) {
+    st.status = SolveStatus::NonFiniteResidual;
+    return;
+  }
+  st.history.resize(size_t(p));
+  st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p), w(n, p), ztmp(n, p);
   detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
@@ -244,7 +255,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     if (opts_.record_history)
       st.history[size_t(l)].push_back(rnorm[size_t(l)] / bnorm[size_t(l)]);
   }
-  if (!detail::finite_norms(bnorm.data(), p) || !detail::finite_norms(rnorm.data(), p)) {
+  if (!detail::finite_norms(rnorm.data(), p)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
   }
@@ -293,9 +304,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       }
       // Per-lane CholQR of its k columns (one fused reduction).
       obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * k * k * 8);
-      if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
+      note_reductions(1, p * k * k * 8);
       for (index_t l = 0; l < p; ++l) {
         auto wl = wall.block(0, l * k, n, k);
         DenseMatrix<T> rq(k, k);
@@ -345,40 +354,42 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     }
   }
 
-  // Main loop. The first pass of a fresh sequence runs m unprojected
-  // steps (and seeds the recycled spaces); every later pass runs m - k
-  // projected steps. Iterate-loop scratch comes from workspace slots so
-  // steady-state steps stay off the allocator.
+  // Restart cycles. Until the lanes hold recycled spaces (always, for
+  // k = 0) a cycle runs m unprojected steps; after that, m - k steps
+  // projected against each lane's C. Iterate-loop scratch comes from
+  // workspace slots so steady-state steps stay off the allocator.
   DenseMatrix<T>& vin = ws.mat(kWsVin, n, p);
   obs::IterationEvent ev;
   if (trace != nullptr) ev.residuals.reserve(static_cast<size_t>(p));
-  bool first_cycle = !had_recycle;
+  bool seeded = had_recycle;
   bool fatal = false;
   while (!all_converged() && st.iterations < opts_.max_iterations) {
     ++st.cycles;
-    const index_t max_steps = first_cycle ? mdim : (mdim - k);
-    const bool project = !first_cycle;
-    // Cycle start: normalize each lane's residual (norms already known
-    // from the last batched residual evaluation) and C^H r.
-    {
+    const index_t max_steps = seeded ? (mdim - k) : mdim;
+    // Cycle start: each lane's v_0 = r / ||r|| (the norms of the last
+    // batched residual evaluation double as the "QR" of the p residuals)
+    // and, once projecting, C^H r in one fused reduction.
+    for (index_t l = 0; l < p; ++l) {
+      auto& lane = lanes[size_t(l)];
+      lane.active = !lane.converged;
+      lane.start_cycle(n, max_steps, side, seeded ? lane.u.cols() : 0);
+      if (!lane.active) continue;
+      const Real beta = lane.rnorm;
+      const T inv = scalar_traits<T>::from_real(Real(1) / beta);
+      for (index_t i = 0; i < n; ++i) lane.v(i, 0) = r(i, l) * inv;
+      lane.ghat[0] = scalar_traits<T>::from_real(beta);
+    }
+    if (seeded) {
       obs::ScopedPhase sp(trace, obs::Phase::Reduction);
       for (index_t l = 0; l < p; ++l) {
         auto& lane = lanes[size_t(l)];
-        lane.active = !lane.converged;
-        lane.start_cycle(n, max_steps, side, project ? lane.u.cols() : 0);
         if (!lane.active) continue;
-        const Real beta = lane.rnorm;
-        const T inv = scalar_traits<T>::from_real(Real(1) / beta);
-        for (index_t i = 0; i < n; ++i) lane.v(i, 0) = r(i, l) * inv;
-        lane.ghat[0] = scalar_traits<T>::from_real(beta);
-        if (project) {
-          lane.yc.assign(static_cast<size_t>(lane.u.cols()), T(0));
-          for (index_t i = 0; i < lane.u.cols(); ++i)
-            lane.yc[size_t(i)] = dot<T>(n, lane.c.col(i), r.col(l), ex);
-        }
+        lane.yc.assign(static_cast<size_t>(lane.u.cols()), T(0));
+        for (index_t i = 0; i < lane.u.cols(); ++i)
+          lane.yc[size_t(i)] = dot<T>(n, lane.c.col(i), r.col(l), ex);
       }
-      st.reductions += 1;  // fused residual QR (norms) / C^H r
-      if (comm != nullptr) comm->reduction(p * 8);
+      st.reductions += 1;
+      if (comm != nullptr) comm->reduction(p * k * 8);
     }
     if (opts_.record_history)
       for (index_t l = 0; l < p; ++l)
@@ -400,11 +411,9 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       for (const auto& lane : lanes) nactive += lane.active ? 1 : 0;
       if (nactive == 0) break;
       // Projection against each lane's C (one fused reduction).
-      if (project) {
+      if (seeded) {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        st.reductions += 1;
-        if (comm != nullptr) comm->reduction(nactive * k * 8);
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
+        note_reductions(1, nactive * k * 8);
         for (index_t l = 0; l < p; ++l) {
           auto& lane = lanes[size_t(l)];
           if (!lane.active) continue;
@@ -415,40 +424,49 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
           }
         }
       }
-      // Fused CGS projection + normalization (2 reductions). The per-lane
-      // work interleaves both, so the span is attributed to the
-      // projection phase and the reduction counts ride as count-only.
-      st.reductions += 2;
-      if (comm != nullptr) {
-        comm->reduction(nactive * (j + 1) * 8);
-        comm->reduction(nactive * 8);
-      }
-      if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 2);
+      // Fused CGS projection: every lane's dots batch into one reduction
+      // (MGS is counted as its j + 1 synchronizations, CGS2 adds one).
+      DenseMatrix<T>& hcol = ws.mat(kWsHcol, max_steps + 2, p);  // lane l in column l
       {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        detail::fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
         for (index_t l = 0; l < p; ++l) {
           auto& lane = lanes[size_t(l)];
           if (!lane.active) continue;
           if (side == PrecondSide::Flexible) std::copy(zj.col(l), zj.col(l) + n, lane.z.col(j));
-          std::vector<T>& hcol = ws.vec(kWsHcol, max_steps + 1);
-          for (index_t i = 0; i <= j; ++i) hcol[size_t(i)] = dot<T>(n, lane.v.col(i), w.col(l), ex);
-          for (index_t i = 0; i <= j; ++i) axpy<T>(n, -hcol[size_t(i)], lane.v.col(i), w.col(l));
+          for (index_t i = 0; i <= j; ++i) hcol(i, l) = dot<T>(n, lane.v.col(i), w.col(l), ex);
+        }
+        note_reductions((opts_.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
+        for (index_t l = 0; l < p; ++l) {
+          auto& lane = lanes[size_t(l)];
+          if (!lane.active) continue;
+          for (index_t i = 0; i <= j; ++i) axpy<T>(n, -hcol(i, l), lane.v.col(i), w.col(l));
           if (opts_.ortho == Ortho::Cgs2) {
             for (index_t i = 0; i <= j; ++i) {
               const T h2 = dot<T>(n, lane.v.col(i), w.col(l), ex);
-              hcol[size_t(i)] += h2;
+              hcol(i, l) += h2;
               axpy<T>(n, -h2, lane.v.col(i), w.col(l));
             }
           }
+        }
+        if (opts_.ortho == Ortho::Cgs2) note_reductions(1, (j + 1) * nactive * 8);
+      }
+      // Fused normalization (the per-lane Hessenberg QR updates ride in
+      // the same scope; their cost is O(m) per lane).
+      note_reductions(1, nactive * 8);
+      {
+        obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
+        detail::fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
+        for (index_t l = 0; l < p; ++l) {
+          auto& lane = lanes[size_t(l)];
+          if (!lane.active) continue;
           const Real hn = norm2<T>(n, w.col(l), ex);
-          hcol[size_t(j) + 1] = scalar_traits<T>::from_real(hn);
+          hcol(j + 1, l) = scalar_traits<T>::from_real(hn);
           if (hn > Real(0)) {
             const T inv = scalar_traits<T>::from_real(Real(1) / hn);
             for (index_t i = 0; i < n; ++i) lane.v(i, j + 1) = w(i, l) * inv;
           }
-          for (index_t i = 0; i < j + 2; ++i) lane.hbar(i, j) = hcol[size_t(i)];
-          lane.qr.add_column(hcol.data(), j + 2);
+          for (index_t i = 0; i < j + 2; ++i) lane.hbar(i, j) = hcol(i, l);
+          lane.qr.add_column(hcol.col(l), j + 2);
           lane.qr.apply_qt_range(
               MatrixView<T>(lane.ghat.data(), index_t(lane.ghat.size()), 1,
                             index_t(lane.ghat.size())),
@@ -471,8 +489,8 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       if (trace != nullptr) {
         ev.cycle = st.cycles;
         ev.iteration = st.iterations;
-        ev.basis_size = j + 1;
-        ev.recycle_dim = project ? k : 0;
+        ev.basis_size = (j + 1) * p;
+        ev.recycle_dim = seeded ? k : 0;
         ev.residuals.resize(size_t(p));
         for (index_t l = 0; l < p; ++l)
           ev.residuals[size_t(l)] = lanes[size_t(l)].rnorm / lanes[size_t(l)].bnorm;
@@ -490,9 +508,10 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       break;
     }
 
-    // Per-lane least squares, solution update, recycle refresh.
+    // Per-lane least squares and solution update.
     DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
     bool progress = false;
+    bool null_update = true;
     {
       obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
       for (index_t l = 0; l < p; ++l) {
@@ -501,27 +520,27 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
         const index_t s = detail::usable_columns(lane.qr, lane.steps);
         if (s == 0) continue;
         progress = true;
-        const std::vector<T> y = lane.least_squares(s);
+        std::vector<T>& y = ws.vec(kWsLaneY, s);
+        lane.least_squares(s, y);
         const auto& basis = lane.update_basis(side);
-        for (index_t i = 0; i < s; ++i) axpy<T>(n, y[size_t(i)], basis.col(i), t.col(l));
-        if (project) {
+        for (index_t i = 0; i < s; ++i) {
+          null_update = null_update && y[size_t(i)] == T(0);
+          axpy<T>(n, y[size_t(i)], basis.col(i), t.col(l));
+        }
+        if (seeded) {
           // Y_k = C^H r - E y (fig. 1 line 28).
-          std::vector<T> yk = lane.yc;
-          for (index_t i = 0; i < lane.u.cols(); ++i)
-            for (index_t cc = 0; cc < s; ++cc) yk[size_t(i)] -= lane.e(i, cc) * y[size_t(cc)];
-          if (side == PrecondSide::Flexible) {
-            for (index_t i = 0; i < lane.u.cols(); ++i)
-              axpy<T>(n, yk[size_t(i)], lane.u.col(i), x.col(l));
-          } else {
-            for (index_t i = 0; i < lane.u.cols(); ++i)
-              axpy<T>(n, yk[size_t(i)], lane.u.col(i), t.col(l));
+          for (index_t i = 0; i < lane.u.cols(); ++i) {
+            for (index_t cc = 0; cc < s; ++cc) lane.yc[size_t(i)] -= lane.e(i, cc) * y[size_t(cc)];
+            null_update = null_update && lane.yc[size_t(i)] == T(0);
+            axpy<T>(n, lane.yc[size_t(i)], lane.u.col(i),
+                    side == PrecondSide::Flexible ? x.col(l) : t.col(l));
           }
         }
       }
     }
     if (!progress) {
-      if (st.iterations < opts_.max_iterations) st.status = SolveStatus::Stagnated;
-      break;
+      st.status = SolveStatus::Stagnated;
+      break;  // no lane produced a usable direction
     }
     if (side == PrecondSide::Right) {
       {
@@ -534,23 +553,36 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     } else {
       for (index_t l = 0; l < p; ++l) axpy<T>(n, T(1), t.col(l), x.col(l));
     }
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
-    if (!detail::finite_norms(rnorm.data(), p)) {
-      // Break before refreshing the recycled spaces so they keep the last
-      // consistent state.
-      st.status = SolveStatus::NonFiniteResidual;
+    bool estimates_converged = true;
+    for (const auto& lane : lanes)
+      estimates_converged = estimates_converged && lane.rnorm <= opts_.tol * lane.bnorm;
+    // The recycled spaces change after the first cycle, and after every
+    // cycle while the matrix changes (section III-B).
+    const bool refresh = k > 0 && (!seeded || matrix_changed);
+    if (null_update && !estimates_converged && side != PrecondSide::Flexible && !refresh) {
+      // Nothing moved, so the next cycle would replay this one: wedged.
+      st.status = SolveStatus::Stagnated;
       break;
     }
-    for (index_t l = 0; l < p; ++l) {
-      lanes[size_t(l)].rnorm = rnorm[size_t(l)];
-      lanes[size_t(l)].converged = rnorm[size_t(l)] <= opts_.tol * bnorm[size_t(l)];
+    // A cycle that spent the budget without its estimates converging ends
+    // the solve either way: skip the true-residual recompute.
+    if (st.iterations < opts_.max_iterations || estimates_converged) {
+      detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
+      detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+      if (!detail::finite_norms(rnorm.data(), p)) {
+        // Break before refreshing the recycled spaces so they keep the last
+        // consistent state.
+        st.status = SolveStatus::NonFiniteResidual;
+        break;
+      }
+      for (index_t l = 0; l < p; ++l) {
+        lanes[size_t(l)].rnorm = rnorm[size_t(l)];
+        lanes[size_t(l)].converged = rnorm[size_t(l)] <= opts_.tol * bnorm[size_t(l)];
+      }
     }
-    // Refresh the recycled spaces (first cycle always seeds them; later
-    // cycles only when the matrix changes — section III-B).
-    if (first_cycle || matrix_changed) {
+    if (refresh) {
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
-      if (!first_cycle) {
+      if (seeded) {
         st.reductions += 1;  // fused ||u_i|| scaling norms
         if (comm != nullptr) comm->reduction(p * k * 8);
         if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
@@ -559,16 +591,16 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
         auto& lane = lanes[size_t(l)];
         if (lane.steps == 0) continue;
         const index_t s = detail::usable_columns(lane.qr, lane.steps);
-        refresh_lane_recycle<T>(lane, n, k, s, side, opts_.strategy, !first_cycle, ex,
-                                opts_.recovery, st, trace);
+        refresh_lane_recycle<T>(lane, n, k, s, side, opts_.strategy, seeded, ex, opts_.recovery,
+                                st, trace);
       }
-      if (opts_.strategy == RecycleStrategy::A && !first_cycle) {
+      if (opts_.strategy == RecycleStrategy::A && seeded) {
         st.reductions += 1;  // [C V]^H U of eq. 3a (fused over lanes)
         if (comm != nullptr) comm->reduction(p * k * 8);
         if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
       }
     }
-    first_cycle = false;
+    seeded = k > 0;
   }
 
   // Persist the recycled spaces (interleaved storage).
@@ -585,8 +617,12 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       }
   }
   st.converged = all_converged();
-  detail::final_residual_check<T>(a, b, x, opts_, st, comm);
-  });
+  };
+  return detail::run_solver_ws<T>(method_, n, p, opts_,
+                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
+                                    body(st, ws);
+                                    detail::final_residual_check<T>(a, b, x, opts_, st, comm);
+                                  });
 }
 
 template <class T>

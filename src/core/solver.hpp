@@ -140,12 +140,11 @@ enum class Ortho {
   Cgs,     // classical Gram-Schmidt, 1 projection reduction + 1 normalization
   Cgs2,    // CGS with reorthogonalization (2 + 1)
   Mgs,     // modified Gram-Schmidt, one reduction per basis block
-  CholQr,  // block normalization via CholQR is always used; this selects CGS projections
 };
 
 struct SolverOptions {
   index_t restart = 30;            // m: maximum Krylov dimension (in blocks)
-  index_t recycle = 0;             // k: recycled blocks (GCRO-DR only)
+  index_t recycle = 0;             // k: recycled blocks (GCRO-DR; k = 0 runs it as GMRES)
   double tol = 1e-8;               // relative residual target, per RHS column
   index_t max_iterations = 10000;  // total (block) iterations
   PrecondSide side = PrecondSide::Right;
@@ -234,7 +233,7 @@ struct SolveStats {
   // identity-pk deflation fallbacks, early restarts). 0 on a clean solve.
   std::int64_t recoveries = 0;
   index_t iterations = 0;  // (block) Arnoldi steps performed
-  index_t cycles = 0;      // restarts + 1
+  index_t cycles = 0;      // Arnoldi cycles run (restarts + 1)
   std::int64_t reductions = 0;       // global synchronizations
   std::int64_t operator_applies = 0; // SpMM count (blocks)
   std::int64_t precond_applies = 0;  // M^{-1} block applications

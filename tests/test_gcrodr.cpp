@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <string>
 
 #include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
 #include "fem/poisson2d.hpp"
+#include "parallel/comm_model.hpp"
 #include "test_helpers.hpp"
 
 namespace bkr {
@@ -293,16 +295,88 @@ TEST(GcroDr, HistoryTracksConvergence) {
 }
 
 TEST(GcroDr, RejectsBadRecycleDimension) {
+  // k = 0 is GMRES; only a negative recycle dimension is malformed.
   const auto a = poisson2d(5, 5);
   CsrOperator<double> op(a);
   std::vector<double> b(25, 1.0), x(25, 0.0);
   SolverOptions opts;
   opts.restart = 10;
-  opts.recycle = 0;
+  opts.recycle = -1;
   GcroDr<double> solver(opts);
   EXPECT_THROW(solver.solve(op, nullptr, MatrixView<const double>(b.data(), 25, 1, 25),
                             MatrixView<double>(x.data(), 25, 1, 25)),
                std::invalid_argument);
+}
+
+// Bitwise (history, solution) and exact (reductions, applies, comm)
+// equality of two solves of the same system.
+template <class T>
+void expect_same_solve(const SolveStats& got, const CommModel& got_comm, const DenseMatrix<T>& gx,
+                       const SolveStats& ref, const CommModel& ref_comm, const DenseMatrix<T>& rx,
+                       const std::string& what) {
+  EXPECT_EQ(got.status, ref.status) << what;
+  EXPECT_EQ(got.iterations, ref.iterations) << what;
+  EXPECT_EQ(got.cycles, ref.cycles) << what;
+  EXPECT_EQ(got.per_rhs_iterations, ref.per_rhs_iterations) << what;
+  EXPECT_EQ(got.history, ref.history) << what;
+  EXPECT_EQ(got.reductions, ref.reductions) << what;
+  EXPECT_EQ(got.operator_applies, ref.operator_applies) << what;
+  EXPECT_EQ(got.precond_applies, ref.precond_applies) << what;
+  EXPECT_EQ(got_comm.reductions(), ref_comm.reductions()) << what;
+  EXPECT_EQ(got_comm.reduction_bytes(), ref_comm.reduction_bytes()) << what;
+  for (index_t c = 0; c < gx.cols(); ++c)
+    for (index_t i = 0; i < gx.rows(); ++i) ASSERT_EQ(gx(i, c), rx(i, c)) << what;
+}
+
+// Runs the (pseudo-)block GCRO-DR engine and its GMRES counterpart on one
+// system and requires identical solves, for every ortho scheme.
+template <class Engine, class Gmres>
+void expect_engine_matches_gmres(const CsrMatrix<double>& a, const DenseMatrix<double>& b,
+                                 SolverOptions opts, Gmres gmres_fn, const char* label,
+                                 bool one_cycle) {
+  CsrOperator<double> op(a);
+  for (const Ortho ortho : {Ortho::Cgs, Ortho::Cgs2, Ortho::Mgs}) {
+    opts.ortho = ortho;
+    const std::string what = std::string(label) + " ortho=" + std::to_string(int(ortho));
+    CommModel ref_comm, got_comm;
+    DenseMatrix<double> rx(a.rows(), b.cols()), gx(a.rows(), b.cols());
+    const SolveStats ref = gmres_fn(op, nullptr, b.view(), rx.view(), opts, &ref_comm);
+    Engine engine(opts);
+    const SolveStats got = engine.solve(op, nullptr, b.view(), gx.view(), &got_comm);
+    ASSERT_TRUE(ref.converged) << what;
+    if (one_cycle) ASSERT_EQ(ref.cycles, 1) << what;
+    else ASSERT_GT(ref.cycles, 1) << what;
+    expect_same_solve(got, got_comm, gx, ref, ref_comm, rx, what);
+  }
+}
+
+TEST(GcroDr, FirstCycleSolveEqualsGmres) {
+  // Converging inside the first cycle, GCRO-DR with k > 0 has only run
+  // (block) GMRES: the harmonic Ritz seeding after the cycle costs no
+  // reduction and no apply. Pins both engines' reduction accounting to
+  // the GMRES formulas (CGS 1 + 1, CGS2 2 + 1, MGS j + 1 + 1 per step).
+  const auto a = poisson2d(10, 10);
+  const auto b = random_matrix<double>(a.rows(), 3, 5);
+  SolverOptions opts = gcro_opts(80, 6, 1e-8);
+  expect_engine_matches_gmres<GcroDr<double>>(a, b, opts, block_gmres<double>, "block", true);
+  expect_engine_matches_gmres<PseudoGcroDr<double>>(a, b, opts, pseudo_block_gmres<double>,
+                                                    "pseudo", true);
+}
+
+TEST(GcroDr, ZeroRecycleIsGmres) {
+  // k = 0 over several restart cycles: the engines skip every recycle
+  // step and solve exactly as (pseudo-)block GMRES does.
+  const auto a = poisson2d(10, 10);
+  const auto b = random_matrix<double>(a.rows(), 3, 7);
+  SolverOptions opts = gcro_opts(8, 0, 1e-8);
+  expect_engine_matches_gmres<GcroDr<double>>(a, b, opts, block_gmres<double>, "block", false);
+  expect_engine_matches_gmres<PseudoGcroDr<double>>(a, b, opts, pseudo_block_gmres<double>,
+                                                    "pseudo", false);
+  GcroDr<double> engine(opts);
+  DenseMatrix<double> x(a.rows(), 3);
+  CsrOperator<double> op(a);
+  (void)engine.solve(op, nullptr, b.view(), x.view());
+  EXPECT_FALSE(engine.has_recycled_space());
 }
 
 // Property sweep: recycling never hurts correctness across (m, k) combos.

@@ -298,11 +298,11 @@ TEST(Gmres, ReductionAccountingMatchesModel) {
   CommModel comm;
   const auto st = gmres<double>(op, nullptr, b, x, opts, &comm);
   ASSERT_TRUE(st.converged);
-  ASSERT_EQ(st.cycles, 2);  // one working cycle + the converged check
+  ASSERT_EQ(st.cycles, 1);  // one Arnoldi cycle; the converged check opens none
   const std::int64_t expected = 1                    // ||b||
                                 + 2 * st.iterations  // CGS + CholQR per iteration
-                                + 2 * 1              // initial residual norms + QR (cycle 1)
-                                + 1;                 // final residual norms (cycle 2)
+                                + 2 * 1              // initial residual norms + QR
+                                + 1;                 // true residual norms after the cycle
   EXPECT_EQ(st.reductions, expected);
   EXPECT_EQ(comm.reductions(), expected);
 }

@@ -106,6 +106,39 @@ TEST(KrylovSmoother, GmresSmootherIsVariable) {
   EXPECT_TRUE(c.is_variable());
 }
 
+// Counts operator applies (one SpMM of any width each).
+class CountingOperator final : public LinearOperator<double> {
+ public:
+  explicit CountingOperator(const CsrMatrix<double>& a) : a_(&a) {}
+  [[nodiscard]] index_t n() const override { return a_->rows(); }
+  void apply(MatrixView<const double> x, MatrixView<double> y) const override {
+    a_->spmm(x, y);
+    ++applies;
+  }
+  mutable index_t applies = 0;
+
+ private:
+  const CsrMatrix<double>* a_;
+};
+
+TEST(KrylovSmoother, GmresSmootherCostsOneApplyPerStepPlusResidual) {
+  // s fixed GMRES steps from a zero guess: one apply for the initial
+  // residual plus one per step. The budget ends the only cycle with its
+  // estimates unconverged, so no true residual is recomputed after it
+  // (which would make every smoother apply cost s + 2).
+  const auto a = poisson2d(10, 10);
+  const auto r = testing::random_matrix<double>(a.rows(), 2, 3);
+  for (const index_t steps : {1, 3, 5}) {
+    for (const index_t p : {1, 2}) {
+      CountingOperator op(a);
+      GmresSmoother<double> s(op, steps);
+      DenseMatrix<double> z(a.rows(), p);
+      s.apply(r.view().cols_view(0, p), z.view());
+      EXPECT_EQ(op.applies, steps + 1) << "steps=" << steps << " p=" << p;
+    }
+  }
+}
+
 TEST(Amg, PoissonVcycleBeatsUnpreconditioned) {
   const auto a = poisson2d(40, 40);
   const auto b = poisson2d_rhs(40, 40, 0.1);
