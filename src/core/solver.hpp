@@ -137,9 +137,9 @@ enum class RecycleStrategy {
 // Arnoldi orthogonalization scheme (reduction counts per iteration differ;
 // paper section III-D).
 enum class Ortho {
-  Cgs,     // classical Gram-Schmidt, 1 projection reduction + 1 normalization
-  Cgs2,    // CGS with reorthogonalization (2 + 1)
-  Mgs,     // modified Gram-Schmidt, one reduction per basis block
+  Cgs,   // classical Gram-Schmidt, 1 projection reduction + 1 normalization
+  Cgs2,  // CGS with reorthogonalization (2 + 1)
+  Mgs,   // modified Gram-Schmidt, one reduction per basis block
 };
 
 struct SolverOptions {

@@ -150,22 +150,29 @@ TEST(Resilience, StagnationIsDetectedNotSpun) {
   // Down-shift operator with b = e1: the residual is orthogonal to every
   // Krylov direction, the least-squares update is exactly null, and without
   // the terminal-stagnation exit the solver would replay identical restart
-  // cycles until the iteration budget burned out.
+  // cycles until the iteration budget burned out. Block and pseudo-block
+  // GMRES share the exit.
   const index_t n = 20;
   CooBuilder<double> builder(n, n);
   for (index_t i = 0; i + 1 < n; ++i) builder.add(i + 1, i, 1.0);
   builder.add(0, n - 1, 0.0);  // keep the diagonal pattern square
   const auto a = builder.build();
   CsrOperator<double> op(a);
-  std::vector<double> b(static_cast<size_t>(n), 0.0), x(b.size(), 0.0);
+  std::vector<double> b(static_cast<size_t>(n), 0.0);
   b[0] = 1.0;
   SolverOptions opts;
   opts.restart = 5;
   opts.max_iterations = 10000;
-  const auto st = gmres<double>(op, nullptr, b, x, opts);
-  EXPECT_FALSE(st.converged);
-  EXPECT_EQ(st.status, SolveStatus::Stagnated);
-  EXPECT_LT(st.iterations, 100);  // terminated by diagnosis, not by budget
+  for (const bool pseudo : {false, true}) {
+    std::vector<double> x(b.size(), 0.0);
+    const MatrixView<const double> bv(b.data(), n, 1, n);
+    const MatrixView<double> xv(x.data(), n, 1, n);
+    const auto st = pseudo ? pseudo_block_gmres<double>(op, nullptr, bv, xv, opts)
+                           : block_gmres<double>(op, nullptr, bv, xv, opts);
+    EXPECT_FALSE(st.converged) << "pseudo=" << pseudo;
+    EXPECT_EQ(st.status, SolveStatus::Stagnated) << "pseudo=" << pseudo;
+    EXPECT_LT(st.iterations, 100) << "pseudo=" << pseudo;  // diagnosed, not budget
+  }
 }
 
 TEST(Resilience, CgIndefiniteOperatorBreaksDownPrecisely) {
