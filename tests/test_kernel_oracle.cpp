@@ -16,6 +16,7 @@
 #include <complex>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -433,6 +434,196 @@ TEST(KernelOracle, NonFiniteComplexProductsStayNonFinite) {
     axpy<cd>(40, cd(0.3, 0.7), x.data(), y.data());
     EXPECT_FALSE(std::isfinite(y[17].real()) && std::isfinite(y[17].imag()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tiled gemm and herk: bitwise equal to the per-entry loops below, which
+// copy the scalar kernel bodies (one chunk_dot per C^H N entry and herk
+// pair, one pass over C(:,j) per coefficient for N N and N C) that the
+// tiles replaced. Every output element must see the same operation
+// sequence, zero coefficients included, so the comparison is EXPECT_EQ.
+// ---------------------------------------------------------------------------
+
+template <class T>
+T scalar_dot(index_t n, const T* x, const T* y) {
+  T s(0);
+  for (index_t i = 0; i < n; ++i) s += detail::conj_mul(x[i], y[i]);
+  return s;
+}
+
+template <class T>
+void scalar_gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b, T beta,
+                 MatrixView<T> c) {
+  const index_t m = c.rows(), n = c.cols();
+  const index_t k = (ta == Trans::N) ? a.cols() : a.rows();
+  if (beta == T(0)) {
+    c.set_zero();
+  } else if (beta != T(1)) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) c(i, j) *= beta;
+  }
+  if (alpha == T(0) || k == 0 || m == 0 || n == 0) return;
+  if (ta == Trans::N && tb == Trans::N) {
+    for (index_t j = 0; j < n; ++j) {
+      T* cj = c.col(j);
+      for (index_t l = 0; l < k; ++l) {
+        const T blj = alpha * b(l, j);
+        if (blj == T(0)) continue;
+        const T* al = a.col(l);
+        for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
+      }
+    }
+  } else if (ta == Trans::C && tb == Trans::N) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) c(i, j) += alpha * scalar_dot(k, a.col(i), b.col(j));
+  } else if (ta == Trans::N && tb == Trans::C) {
+    for (index_t l = 0; l < k; ++l) {
+      const T* al = a.col(l);
+      for (index_t j = 0; j < n; ++j) {
+        const T blj = alpha * conj(b(j, l));
+        if (blj == T(0)) continue;
+        T* cj = c.col(j);
+        for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
+      }
+    }
+  } else {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) {
+        T s(0);
+        for (index_t l = 0; l < k; ++l) s += conj(a(l, i)) * conj(b(j, l));
+        c(i, j) += alpha * s;
+      }
+  }
+}
+
+template <class T>
+void scalar_herk(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
+  const index_t p = a.cols(), n = a.rows();
+  for (index_t j = 0; j < p; ++j)
+    for (index_t i = 0; i <= j; ++i) {
+      const T d = scalar_dot(n, a.col(i), a.col(j));
+      const T s = (alpha == T(1)) ? d : alpha * d;
+      const T upper = (beta == T(0)) ? s : s + beta * c(i, j);
+      const T lower = (beta == T(0)) ? conj(s) : conj(s) + beta * c(j, i);
+      c(i, j) = upper;
+      c(j, i) = lower;
+    }
+}
+
+// A rows x cols matrix stored with leading dimension rows + 3, filled from
+// `seed`; every fifth entry is an exact zero and every seventh a signed
+// zero, so the N N / N C zero-coefficient skips are taken at ragged spots.
+template <class T>
+struct Padded {
+  DenseMatrix<T> store;
+  index_t rows, cols;
+  Padded(index_t r, index_t c, unsigned seed) : store(r + 3, c > 0 ? c : 1), rows(r), cols(c) {
+    Rng rng(seed);
+    for (index_t j = 0; j < store.cols(); ++j)
+      for (index_t i = 0; i < store.rows(); ++i) store(i, j) = rng.scalar<T>();
+    index_t t = 0;
+    for (index_t j = 0; j < c; ++j)
+      for (index_t i = 0; i < r; ++i, ++t) {
+        if (t % 5 == 3) store(i, j) = T(0);
+        if (t % 7 == 5) store(i, j) = T(-0.0);
+      }
+  }
+  MatrixView<T> view() { return MatrixView<T>(store.data(), rows, cols, store.ld()); }
+  [[nodiscard]] MatrixView<const T> cview() const {
+    return MatrixView<const T>(store.data(), rows, cols, store.ld());
+  }
+};
+
+// Bitwise on finite entries; non-finite entries must be non-finite in
+// both results (Annex G's infinity recovery is not part of the contract).
+template <class T>
+void expect_same(MatrixView<const T> got, MatrixView<const T> want, const std::string& what) {
+  for (index_t j = 0; j < want.cols(); ++j)
+    for (index_t i = 0; i < want.rows(); ++i) {
+      const T g = got(i, j), w = want(i, j);
+      const bool gf = std::isfinite(abs_val(g));
+      const bool wf = std::isfinite(abs_val(w));
+      ASSERT_EQ(gf, wf) << what << " finiteness at (" << i << "," << j << ")";
+      if (wf) {
+        ASSERT_EQ(g, w) << what << " at (" << i << "," << j << ")";
+      }
+    }
+}
+
+template <class T>
+void check_tiled_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, T alpha, T beta,
+                      bool poison, unsigned seed,
+                      const std::vector<std::unique_ptr<KernelExecutor>>& exs) {
+  Padded<T> a(ta == Trans::N ? m : k, ta == Trans::N ? k : m, seed);
+  Padded<T> b(tb == Trans::N ? k : n, tb == Trans::N ? n : k, seed + 1);
+  if (poison) {
+    const double inf = std::numeric_limits<double>::infinity();
+    if (a.rows > 0 && a.cols > 0) a.store(a.rows / 2, a.cols - 1) = T(std::nan(""));
+    if (b.rows > 0 && b.cols > 0) b.store(0, b.cols / 2) = T(inf);
+  }
+  const Padded<T> c0(m, n, seed + 2);
+  Padded<T> want = c0;
+  scalar_gemm<T>(ta, tb, alpha, a.cview(), b.cview(), beta, want.view());
+  const std::string what = "gemm " + std::string(ta == Trans::N ? "N" : "C") +
+                           (tb == Trans::N ? "N" : "C") + " m=" + std::to_string(m) +
+                           " n=" + std::to_string(n) + " k=" + std::to_string(k);
+  Padded<T> got = c0;
+  gemm<T>(ta, tb, alpha, a.cview(), b.cview(), beta, got.view());
+  expect_same<T>(got.cview(), want.cview(), what + " serial");
+  for (const auto& ex : exs) {
+    Padded<T> pooled = c0;
+    gemm<T>(ta, tb, alpha, a.cview(), b.cview(), beta, pooled.view(), ex.get());
+    expect_same<T>(pooled.cview(), want.cview(), what + " lanes=" + std::to_string(ex->lanes()));
+  }
+}
+
+template <class T>
+void check_tiled_herk(index_t n, index_t p, T alpha, T beta, bool poison, unsigned seed,
+                      const std::vector<std::unique_ptr<KernelExecutor>>& exs) {
+  Padded<T> a(n, p, seed);
+  if (poison && n > 0 && p > 0) a.store(n - 1, p / 2) = T(std::nan(""));
+  const Padded<T> c0(p, p, seed + 1);
+  Padded<T> want = c0;
+  scalar_herk<T>(alpha, a.cview(), beta, want.view());
+  const std::string what = "herk n=" + std::to_string(n) + " p=" + std::to_string(p);
+  Padded<T> got = c0;
+  herk<T>(Trans::C, alpha, a.cview(), beta, got.view());
+  expect_same<T>(got.cview(), want.cview(), what + " serial");
+  for (const auto& ex : exs) {
+    Padded<T> pooled = c0;
+    herk<T>(Trans::C, alpha, a.cview(), beta, pooled.view(), ex.get());
+    expect_same<T>(pooled.cview(), want.cview(), what + " lanes=" + std::to_string(ex->lanes()));
+  }
+}
+
+template <class T>
+void check_tiled_kernels(T alpha) {
+  const auto exs = test_executors();
+  // 33 is one past every tile edge the kernels use (2, 4, 8, 16, 32).
+  const index_t dims[] = {0, 1, 2, 3, 5, 7, 17, 33};
+  const T betas[] = {T(0), T(1), T(0.5)};
+  unsigned seed = 3000;
+  int combo = 0;
+  for (Trans ta : {Trans::N, Trans::C})
+    for (Trans tb : {Trans::N, Trans::C})
+      for (const index_t m : dims)
+        for (const index_t n : dims)
+          for (const index_t k : dims) {
+            const bool poison = combo % 11 == 4;
+            check_tiled_gemm<T>(ta, tb, m, n, k, alpha, betas[combo % 3], poison, seed += 3, exs);
+            ++combo;
+          }
+  for (const index_t n : dims)
+    for (const index_t p : dims)
+      for (const T beta : betas) {
+        check_tiled_herk<T>(n, p, alpha, beta, false, seed += 2, exs);
+        check_tiled_herk<T>(n, p, T(1), beta, n % 2 == 1, seed += 2, exs);
+      }
+}
+
+TEST(KernelOracle, TiledGemmHerkMatchScalarReferenceBitwise) {
+  check_tiled_kernels<double>(-2.0 / 3.0);
+  check_tiled_kernels<std::complex<double>>(std::complex<double>(0.75, -1.25));
 }
 
 // The executor path must also be selected lane-independently: below the
