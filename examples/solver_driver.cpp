@@ -27,6 +27,7 @@
 //                    the phase breakdown after the sequence
 #include <complex>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -158,9 +159,7 @@ void run_sequence(const Options& opts, const std::vector<CsrMatrix<T>*>& matrice
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Options opts(argc, argv);
   if (opts.has("help")) {
     std::printf("see the comment block at the top of examples/solver_driver.cpp\n");
@@ -274,4 +273,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+// An invalid option value (say -recycle -1) reaches the solver's own
+// check; report it and exit non-zero instead of aborting.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -2,9 +2,12 @@
 //
 // Mirrors the artifact's "-hpddm_krylov_method gcrodr -hpddm_recycle 10"
 // style: flags are "-name value" (or "-name" for booleans); unknown flags
-// are collected so drivers can report them.
+// are collected so drivers can report them. A token that starts with '-'
+// is the next flag unless it parses fully as a number: "-recycle -1" gives
+// recycle the value "-1", so the driver's own check sees it.
 #pragma once
 
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,7 +26,7 @@ class Options {
         continue;
       }
       const std::string name = arg.substr(1);
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
+      if (i + 1 < argc && (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
         values_[name] = argv[++i];
       } else {
         values_[name] = "";  // boolean flag
@@ -52,6 +55,12 @@ class Options {
   [[nodiscard]] const std::map<std::string, std::string>& all() const { return values_; }
 
  private:
+  static bool is_number(const char* token) {
+    char* end = nullptr;
+    std::strtod(token, &end);
+    return end != token && *end == '\0';
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

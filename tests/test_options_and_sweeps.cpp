@@ -39,6 +39,21 @@ TEST(Options, ParsesFlagsAndValues) {
   EXPECT_EQ(opts.positional()[0], "file.mtx");
 }
 
+TEST(Options, NegativeNumbersAreValuesNotFlags) {
+  std::vector<std::string> args = {"prog",  "-recycle", "-1",   "-shift", "-2.5e-3",
+                                   "-verbose", "-tol",  "-.5", "-name", "-x"};
+  auto argv = argv_of(args);
+  Options opts(int(argv.size()), argv.data());
+  EXPECT_EQ(opts.get("recycle", index_t(10)), -1);
+  EXPECT_DOUBLE_EQ(opts.get("shift", 0.0), -2.5e-3);
+  EXPECT_DOUBLE_EQ(opts.get("tol", 0.0), -0.5);
+  // A following flag (not a number) leaves the boolean flag empty.
+  EXPECT_TRUE(opts.has("verbose"));
+  EXPECT_EQ(opts.get("verbose", std::string("unset")), "");
+  EXPECT_EQ(opts.get("name", std::string("unset")), "");
+  EXPECT_TRUE(opts.has("x"));
+}
+
 TEST(Options, FallbacksApply) {
   std::vector<std::string> args = {"prog"};
   auto argv = argv_of(args);
