@@ -37,6 +37,7 @@
 #include "direct/factor.hpp"
 #include "fem/poisson2d.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "parallel/kernel_executor.hpp"
 #include "sparse/csr.hpp"
@@ -153,6 +154,29 @@ void complex_chamber_rows(Bench& b) {
   b.kernel("gemm", "proj CN complex n=1176 s=168 p=8", [&](const KernelExecutor* ex) {
     gemm<cd>(Trans::C, Trans::N, cd(1), v.view(), w.view(), cd(0), h.view(), ex);
   });
+  // The basis update W -= V H of the same projection, and the CholQR Gram
+  // matrix of the width-8 block.
+  DenseMatrix<cd> upd = copy_of(w);
+  b.kernel("gemm", "update NN complex n=1176 s=168 p=8", [&](const KernelExecutor* ex) {
+    gemm<cd>(Trans::N, Trans::N, cd(-1), v.view(), h.view(), cd(1), upd.view(), ex);
+  });
+  DenseMatrix<cd> g(p, p);
+  b.kernel("herk", "gram complex n=1176 p=8",
+           [&](const KernelExecutor* ex) { gram<cd>(w.view(), g.view(), ex); });
+  // The restart eigensolve of block GCRO-DR(20,5) at width 8: the pencil
+  // (T, W) of order p*m = 160, keeping k = p*recycle = 40 vectors.
+  const index_t order = 160, keep = 40;
+  const DenseMatrix<cd> tp = random_block<cd>(order, order, 15);
+  DenseMatrix<cd> wp = random_block<cd>(order, order, 16);
+  for (index_t i = 0; i < order; ++i) wp(i, i) += cd(double(order));
+  b.entries.push_back({"restart_eig", "complex pencil order 160 k=40", 0,
+                       bench::time_median(b.reps,
+                                          [&] {
+                                            const DenseMatrix<cd> pk =
+                                                smallest_gen_eig_vectors<cd>(tp, wp, keep);
+                                            (void)pk;
+                                          }),
+                       b.reps});
 }
 
 }  // namespace

@@ -8,12 +8,13 @@
 // back to the paper's cost analysis.
 //
 // Every kernel that appears on a solver hot path takes an optional
-// KernelExecutor. With a null executor (the default) the legacy serial
-// loops run unchanged. With an executor, the kernel fans out over the
+// KernelExecutor. With a null executor (the default) each kernel runs its
+// serial schedule. With an executor, the kernel fans out over the
 // thread pool under the determinism contract of common/exec.hpp:
-//  * partition-type kernels (gemm panels, trsm blocks) keep the exact
-//    per-output-element operation order of the serial code, so they are
-//    bitwise identical to it at every thread count;
+//  * partition-type kernels (gemm panels and tiles, herk tiles, trsm
+//    blocks) keep the exact per-output-element operation order of the
+//    serial code, so they are bitwise identical to it at every thread
+//    count;
 //  * reduction-type kernels (dot, norm2, column_norms) switch to a
 //    fixed-order chunked summation (kReduceChunk elements per partial,
 //    partials combined in chunk-index order) whose result is bitwise
@@ -21,7 +22,11 @@
 //    sum in rounding. The switch is decided by problem size only.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -98,9 +103,189 @@ inline index_t fanout_tasks(const KernelExecutor* ex, index_t n) {
   return n < want ? (n > 0 ? n : 1) : want;
 }
 
+// --- Register tiles for gemm and herk (DESIGN.md §11) ---------------------
+//
+// Every helper below keeps, for each output element, the exact operation
+// sequence of the per-entry loop it replaces, so its results are bitwise
+// those loops' results. std::complex<double> runs on packed two-lane
+// doubles (GCC vector extensions; SSE2, the x86-64 baseline, without
+// -march and without FMA); other scalar types run the same tiles on the
+// cmul/conj_mul helpers.
+
+inline constexpr index_t kTileRows = 4;    // dot tile height (output rows)
+inline constexpr index_t kTileCols = 2;    // dot tile width (output columns)
+inline constexpr int kUpdateGroup = 4;     // columns of A per pass over C(:,j)
+
+template <class T>
+inline constexpr bool kPackedComplex = std::is_same_v<T, std::complex<double>>;
+
+using v2d = double __attribute__((vector_size(16)));  // {re, im}
+
+// std::complex<double> is layout-compatible with double[2] ([complex.numbers]).
+inline v2d load2(const std::complex<double>* p) {
+  v2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store2(std::complex<double>* p, v2d v) {
+  std::memcpy(static_cast<void*>(p), &v, sizeof v);
+}
+inline v2d swap2(v2d v) { return v2d{v[1], v[0]}; }
+
+// s[ii + MR*jj] = chunk_dot(k, x + ii*ldx, y + jj*ldy): MR*NR independent
+// accumulators, each summed from T(0) in ascending l.
+//
+// Packed conj(x)*y is swap(X)*{yi, yi} + (X*{1,-1})*{yr, yr}
+// = {xi*yi + xr*yr, xr*yi + (-xi)*yr}: conj_mul's products, with
+// a + (-b) == a - b exactly and the commuted sum exact, so each step adds
+// the same value to the accumulator as conj_mul does.
+template <int MR, int NR, class T>
+inline void dot_tile(index_t k, const T* x, index_t ldx, const T* y, index_t ldy, T* s) {
+  if constexpr (kPackedComplex<T>) {
+    const v2d flip = {1.0, -1.0};
+    v2d acc[MR][NR] = {};
+    for (index_t l = 0; l < k; ++l) {
+      v2d xp[MR], xs[MR];
+      for (int ii = 0; ii < MR; ++ii) {
+        const v2d xv = load2(x + ii * ldx + l);
+        xp[ii] = xv * flip;
+        xs[ii] = swap2(xv);
+      }
+      for (int jj = 0; jj < NR; ++jj) {
+        const T yv = y[jj * ldy + l];
+        const v2d yr = {yv.real(), yv.real()}, yi = {yv.imag(), yv.imag()};
+        for (int ii = 0; ii < MR; ++ii) acc[ii][jj] += xs[ii] * yi + xp[ii] * yr;
+      }
+    }
+    for (int jj = 0; jj < NR; ++jj)
+      for (int ii = 0; ii < MR; ++ii) s[ii + MR * jj] = T(acc[ii][jj][0], acc[ii][jj][1]);
+  } else {
+    T acc[MR][NR] = {};  // T(0)
+    for (index_t l = 0; l < k; ++l) {
+      T yv[NR];
+      for (int jj = 0; jj < NR; ++jj) yv[jj] = y[jj * ldy + l];
+      for (int ii = 0; ii < MR; ++ii) {
+        const T xv = x[ii * ldx + l];
+        for (int jj = 0; jj < NR; ++jj) acc[ii][jj] += conj_mul(xv, yv[jj]);
+      }
+    }
+    for (int jj = 0; jj < NR; ++jj)
+      for (int ii = 0; ii < MR; ++ii) s[ii + MR * jj] = acc[ii][jj];
+  }
+}
+
+// Calls f(i, j, chunk_dot(k, x.col(i), y.col(j))) for every entry of the
+// tile at (i0, j0) of the x.cols() x y.cols() grid. A tile short of
+// columns runs kTileRows x 1 tiles; one short of rows (the last row tile)
+// takes the per-entry chunk_dot.
+template <class T, class F>
+inline void dot_tile_at(MatrixView<const T> x, MatrixView<const T> y, index_t i0, index_t j0,
+                        F&& f) {
+  BKR_REQUIRE(x.rows() == y.rows() && i0 < x.cols() && j0 < y.cols(), "x.rows", x.rows(),
+              "y.rows", y.rows(), "i0", i0, "j0", j0);
+  constexpr index_t mr = kTileRows, nr = kTileCols;
+  const index_t k = x.rows();
+  const index_t rows = std::min(mr, x.cols() - i0), cols = std::min(nr, y.cols() - j0);
+  T s[mr * nr];
+  if (rows < mr) {
+    for (index_t jj = 0; jj < cols; ++jj)
+      for (index_t ii = 0; ii < rows; ++ii)
+        f(i0 + ii, j0 + jj, chunk_dot(k, x.col(i0 + ii), y.col(j0 + jj)));
+  } else if (cols == nr) {
+    dot_tile<mr, nr>(k, x.col(i0), x.ld(), y.col(j0), y.ld(), s);
+    for (index_t jj = 0; jj < nr; ++jj)
+      for (index_t ii = 0; ii < mr; ++ii) f(i0 + ii, j0 + jj, s[ii + mr * jj]);
+  } else {
+    for (index_t jj = 0; jj < cols; ++jj) {
+      dot_tile<mr, 1>(k, x.col(i0), x.ld(), y.col(j0 + jj), y.ld(), s);
+      for (index_t ii = 0; ii < mr; ++ii) f(i0 + ii, j0 + jj, s[ii]);
+    }
+  }
+}
+
+// cj[i] += cmul(a[g][i], coef[g]) for g = 0 .. G-1 in order, one pass
+// over cj. Packed cmul is A*{br, br} + swap(A)*{-bi, bi}
+// = {ar*br + ai*(-bi), ai*br + ar*bi}: cmul's products and exact sums.
+template <int G, class T>
+inline void update_group(index_t m, T* __restrict cj, const T* const* a, const T* coef) {
+  const T* ag[G];
+  for (int g = 0; g < G; ++g) ag[g] = a[g];
+  if constexpr (kPackedComplex<T>) {
+    v2d br[G], bi[G];
+    for (int g = 0; g < G; ++g) {
+      br[g] = v2d{coef[g].real(), coef[g].real()};
+      bi[g] = v2d{-coef[g].imag(), coef[g].imag()};
+    }
+    for (index_t i = 0; i < m; ++i) {
+      v2d ci = load2(cj + i);
+      for (int g = 0; g < G; ++g) {
+        const v2d av = load2(ag[g] + i);
+        ci += av * br[g] + swap2(av) * bi[g];
+      }
+      store2(cj + i, ci);
+    }
+  } else {
+    T cg[G];
+    for (int g = 0; g < G; ++g) cg[g] = coef[g];
+    for (index_t i = 0; i < m; ++i) {
+      T ci = cj[i];
+      for (int g = 0; g < G; ++g) ci += cmul(ag[g][i], cg[g]);
+      cj[i] = ci;
+    }
+  }
+}
+
+// C(:,j) += A * coef(:), the coefficients visited in ascending l and exact
+// zeros skipped (a zero coefficient contributes no operation at all), the
+// nonzero ones applied kUpdateGroup columns of A per pass over C(:,j).
+template <class T, class Coef>
+inline void update_column(MatrixView<const T> a, MatrixView<T> c, index_t j, Coef&& coef) {
+  BKR_REQUIRE(c.rows() == a.rows() && j < c.cols(), "c.rows", c.rows(), "a.rows", a.rows(), "j", j);
+  const index_t m = a.rows(), k = a.cols();
+  T* cj = c.col(j);
+  const T* cols[kUpdateGroup];
+  T co[kUpdateGroup];
+  int g = 0;
+  for (index_t l = 0; l < k; ++l) {
+    const T blj = coef(l);
+    if (blj == T(0)) continue;
+    cols[g] = a.col(l);
+    co[g] = blj;
+    if (++g == kUpdateGroup) {
+      update_group<kUpdateGroup>(m, cj, cols, co);
+      g = 0;
+    }
+  }
+  static_assert(kUpdateGroup == 4, "tail dispatch below covers groups of 1 to 3");
+  if (g == 3) update_group<3>(m, cj, cols, co);
+  if (g == 2) update_group<2>(m, cj, cols, co);
+  if (g == 1) update_group<1>(m, cj, cols, co);
+}
+
+// Run tile(t) for t in [0, ntiles): in order without an executor, as
+// contiguous tile ranges on the pool with one.
+template <class F>
+inline void for_each_tile(const KernelExecutor* ex, Kernel kind, index_t ntiles, F&& tile) {
+  if (ex == nullptr || ntiles <= 1) {
+    for (index_t t = 0; t < ntiles; ++t) tile(t);
+    return;
+  }
+  const index_t parts = fanout_tasks(ex, ntiles);
+  ex->run(kind, parts, [&](index_t part) {
+    const index_t t1 = even_split(ntiles, parts, part + 1);
+    for (index_t t = even_split(ntiles, parts, part); t < t1; ++t) tile(t);
+  });
+}
+
 }  // namespace detail
 
 // C = alpha * op(A) * op(B) + beta * C.
+//
+// C^H N runs on kTileRows x kTileCols dot tiles and N N / N C on grouped
+// column updates (detail::dot_tile, detail::update_group); every output
+// element keeps the operation sequence of the per-entry loops (DESIGN.md
+// §11), so the result is bitwise that of one chunk_dot per C^H N entry
+// and of one pass over C(:,j) per nonzero coefficient.
 template <class T>
 BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b, T beta,
           MatrixView<T> c, const KernelExecutor* ex = nullptr) {
@@ -123,19 +308,17 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
 
   const bool fan = ex != nullptr && ex->engage(Kernel::Gemm, m * n * k);
 
-  if (ta == Trans::N && tb == Trans::N) {
-    // C(:,j) += alpha * A * B(:,j) — rank-1 update loop order, unit-stride
-    // in A. Parallel over output column panels; the per-element
-    // accumulation order over l is unchanged, so panels are bitwise
-    // independent of the partition.
+  if (ta == Trans::N) {
+    // C(:,j) += A * (alpha op(B)(:,j)), unit stride in A. Parallel over
+    // output column panels; each column sees its coefficients in
+    // ascending l either way, so panels are bitwise independent of the
+    // partition.
     auto panel = [&](index_t j0, index_t j1) {
       for (index_t j = j0; j < j1; ++j) {
-        T* cj = c.col(j);
-        for (index_t l = 0; l < k; ++l) {
-          const T blj = alpha * b(l, j);
-          if (blj == T(0)) continue;
-          const T* al = a.col(l);
-          for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
+        if (tb == Trans::N) {
+          detail::update_column(a, c, j, [&](index_t l) { return alpha * b(l, j); });
+        } else {
+          detail::update_column(a, c, j, [&](index_t l) { return alpha * conj(b(j, l)); });
         }
       }
     };
@@ -147,40 +330,18 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
         panel(detail::even_split(n, parts, t), detail::even_split(n, parts, t + 1));
       });
     }
-  } else if (ta == Trans::C && tb == Trans::N) {
-    // C(i,j) += alpha * A(:,i)^H B(:,j) — dot products, unit stride in
-    // both. Parallel over output entries (each entry is one independent
-    // dot, computed in the same l order either way).
-    auto entry = [&](index_t i, index_t j) {
-      c(i, j) += alpha * detail::chunk_dot(k, a.col(i), b.col(j));
+  } else if (tb == Trans::N) {
+    // C(i,j) += alpha * A(:,i)^H B(:,j) — dot tiles, unit stride in both.
+    // Parallel over tiles: each entry is one dot, summed in the same l
+    // order by whichever tile computes it.
+    const index_t rt = (m + detail::kTileRows - 1) / detail::kTileRows;
+    const index_t ntiles = rt * ((n + detail::kTileCols - 1) / detail::kTileCols);
+    auto tile = [&](index_t t) {
+      detail::dot_tile_at(a, b, (t % rt) * detail::kTileRows, (t / rt) * detail::kTileCols,
+                          [&](index_t i, index_t j, T s) { c(i, j) += alpha * s; });
     };
-    if (!fan || m * n == 1) {
-      for (index_t j = 0; j < n; ++j)
-        for (index_t i = 0; i < m; ++i) entry(i, j);
-    } else {
-      ex->run(Kernel::Gemm, m * n, [&](index_t t) { entry(t % m, t / m); });
-    }
-  } else if (ta == Trans::N && tb == Trans::C) {
-    auto panel = [&](index_t j0, index_t j1) {
-      for (index_t l = 0; l < k; ++l) {
-        const T* al = a.col(l);
-        for (index_t j = j0; j < j1; ++j) {
-          const T blj = alpha * conj(b(j, l));
-          if (blj == T(0)) continue;
-          T* cj = c.col(j);
-          for (index_t i = 0; i < m; ++i) cj[i] += detail::cmul(al[i], blj);
-        }
-      }
-    };
-    if (!fan || n == 1) {
-      panel(0, n);
-    } else {
-      const index_t parts = detail::fanout_tasks(ex, n);
-      ex->run(Kernel::Gemm, parts, [&](index_t t) {
-        panel(detail::even_split(n, parts, t), detail::even_split(n, parts, t + 1));
-      });
-    }
-  } else {  // C^H * B^H
+    detail::for_each_tile(fan ? ex : nullptr, Kernel::Gemm, ntiles, tile);
+  } else {  // C^H * B^H (no hot caller; per-entry loop)
     auto entry = [&](index_t i, index_t j) {
       T s(0);
       for (index_t l = 0; l < k; ++l) s += conj(a(l, i)) * conj(b(j, l));
@@ -467,36 +628,38 @@ BKR_HOT void trsm_right_upper(MatrixView<const T> r, MatrixView<T> x,
 }
 
 // Hermitian rank-k update C := alpha * A^H A + beta * C (only the
-// conjugate-transpose form the CholQR Gram matrix needs). Each (i, j)
-// pair is one independent column dot, so the pair-parallel schedule is
-// bitwise identical to the serial sweep at any thread count.
+// conjugate-transpose form the CholQR Gram matrix needs). The dots come
+// from the same tiles as gemm's C^H N, over the tiles that touch the
+// upper triangle; each (i <= j) pair is one dot, so the tile-parallel
+// schedule is bitwise identical to the serial sweep at any thread count.
 template <class T>
 BKR_HOT void herk(Trans trans, T alpha, MatrixView<const T> a, T beta, MatrixView<T> c,
           const KernelExecutor* ex = nullptr) {
   BKR_REQUIRE(trans == Trans::C, "trans==C", index_t(trans == Trans::C ? 1 : 0));
   const index_t p = a.cols(), n = a.rows();
   BKR_ASSERT_SHAPE(c, p, p);
-  auto pair = [&](index_t i, index_t j) {  // i <= j
-    const T d = detail::chunk_dot(n, a.col(i), a.col(j));
+  auto pair = [&](index_t i, index_t j, T d) {
+    if (i > j) return;  // lower-triangle entry of a diagonal tile
     const T s = (alpha == T(1)) ? d : alpha * d;
     const T upper = (beta == T(0)) ? s : s + beta * c(i, j);
     const T lower = (beta == T(0)) ? conj(s) : conj(s) + beta * c(j, i);
     c(i, j) = upper;
     c(j, i) = lower;  // on the diagonal this leaves conj(s), matching gram()
   };
-  const index_t npairs = p * (p + 1) / 2;
-  if (ex != nullptr && npairs > 1 && ex->engage(Kernel::Herk, n * npairs)) {
-    ex->run(Kernel::Herk, npairs, [&](index_t t) {
-      // Unrank t over the upper triangle, column-major: pairs of column j
-      // occupy [j(j+1)/2, (j+1)(j+2)/2).
-      index_t j = 0;
-      while ((j + 1) * (j + 2) / 2 <= t) ++j;
-      pair(t - j * (j + 1) / 2, j);
-    });
-  } else {
-    for (index_t j = 0; j < p; ++j)
-      for (index_t i = 0; i <= j; ++i) pair(i, j);
-  }
+  // Tile column tj holds row_tiles(tj) row tiles, the ones with some
+  // i <= j; tiles are ranked column by column.
+  constexpr index_t mr = detail::kTileRows, nr = detail::kTileCols;
+  auto row_tiles = [&](index_t tj) { return (std::min(tj * nr + nr, p) - 1) / mr + 1; };
+  const index_t ct = (p + nr - 1) / nr;
+  index_t ntiles = 0;
+  for (index_t tj = 0; tj < ct; ++tj) ntiles += row_tiles(tj);
+  auto tile = [&](index_t t) {
+    index_t tj = 0;
+    while (t >= row_tiles(tj)) t -= row_tiles(tj++);
+    detail::dot_tile_at(a, a, t * mr, tj * nr, pair);
+  };
+  const bool fan = ex != nullptr && ex->engage(Kernel::Herk, n * (p * (p + 1) / 2));
+  detail::for_each_tile(fan ? ex : nullptr, Kernel::Herk, ntiles, tile);
 }
 
 // Gram matrix G = V^H V (Hermitian, order p). One pass; in a distributed

@@ -13,12 +13,32 @@
 namespace bkr {
 namespace {
 
+// M(:, c0 .. c0+len-1) := M (I - tau v v^H), as column sweeps: the row
+// sums s(r) = tau * sum_i M(r, c0+i) v_i accumulate over ascending i, the
+// order a row-by-row walk uses, so the result is bitwise that walk's.
+void reflect_right(DenseMatrix<cplx>& m, const std::vector<cplx>& v, cplx tau, index_t c0,
+                   index_t len, std::vector<cplx>& s) {
+  const index_t rows = m.rows();
+  std::fill(s.begin(), s.begin() + rows, cplx(0));
+  for (index_t i = 0; i < len; ++i) {
+    const cplx vi = v[size_t(i)];
+    const cplx* col = m.col(c0 + i);
+    for (index_t r = 0; r < rows; ++r) s[size_t(r)] += detail::cmul(col[r], vi);
+  }
+  for (index_t r = 0; r < rows; ++r) s[size_t(r)] = detail::cmul(s[size_t(r)], tau);
+  for (index_t i = 0; i < len; ++i) {
+    const cplx cv = std::conj(v[size_t(i)]);
+    cplx* col = m.col(c0 + i);
+    for (index_t r = 0; r < rows; ++r) col[r] -= detail::cmul(s[size_t(r)], cv);
+  }
+}
+
 // Householder similarity reduction A -> Q^H A Q = H (upper Hessenberg),
 // accumulating Q.
 void hessenberg_reduce(DenseMatrix<cplx>& a, DenseMatrix<cplx>& q) {
   const index_t n = a.rows();
   q = DenseMatrix<cplx>::identity(n);
-  std::vector<cplx> v(static_cast<size_t>(n));
+  std::vector<cplx> v(static_cast<size_t>(n)), rowsum(static_cast<size_t>(n));
   for (index_t j = 0; j + 2 < n; ++j) {
     // Reflector annihilating a(j+2 .. n-1, j).
     const index_t len = n - j - 1;
@@ -35,30 +55,19 @@ void hessenberg_reduce(DenseMatrix<cplx>& a, DenseMatrix<cplx>& q) {
     BKR_GUARDED_DIV const cplx tau = (cplx(beta) - alpha) / beta;
     BKR_GUARDED_DIV const cplx scale = 1.0 / (alpha - cplx(beta));
     v[0] = 1.0;
-    for (index_t i = 1; i < len; ++i) v[size_t(i)] *= scale;
+    for (index_t i = 1; i < len; ++i) v[size_t(i)] = detail::cmul(v[size_t(i)], scale);
     a(j + 1, j) = beta;
     for (index_t i = j + 2; i < n; ++i) a(i, j) = 0.0;
     // A := H^H A on rows j+1..n-1, columns j+1..n-1.
     for (index_t c = j + 1; c < n; ++c) {
       cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += std::conj(v[size_t(i)]) * a(j + 1 + i, c);
-      s *= std::conj(tau);
-      for (index_t i = 0; i < len; ++i) a(j + 1 + i, c) -= v[size_t(i)] * s;
+      for (index_t i = 0; i < len; ++i) s += detail::conj_mul(v[size_t(i)], a(j + 1 + i, c));
+      s = detail::cmul(s, std::conj(tau));
+      for (index_t i = 0; i < len; ++i) a(j + 1 + i, c) -= detail::cmul(v[size_t(i)], s);
     }
-    // A := A H on all rows, columns j+1..n-1.
-    for (index_t r = 0; r < n; ++r) {
-      cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += a(r, j + 1 + i) * v[size_t(i)];
-      s *= tau;
-      for (index_t i = 0; i < len; ++i) a(r, j + 1 + i) -= s * std::conj(v[size_t(i)]);
-    }
-    // Q := Q H.
-    for (index_t r = 0; r < n; ++r) {
-      cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += q(r, j + 1 + i) * v[size_t(i)];
-      s *= tau;
-      for (index_t i = 0; i < len; ++i) q(r, j + 1 + i) -= s * std::conj(v[size_t(i)]);
-    }
+    // A := A H on all rows, columns j+1..n-1; then Q := Q H.
+    reflect_right(a, v, tau, j + 1, len, rowsum);
+    reflect_right(q, v, tau, j + 1, len, rowsum);
   }
 }
 
@@ -76,7 +85,7 @@ Rotation make_rotation(cplx a, cplx b) {
   const double r = std::hypot(na, nb);
   if (na == 0.0) return {0.0, b / r};
   const cplx c = na / r;
-  const cplx s = (a / na) * std::conj(b) / r;
+  const cplx s = detail::cmul(a / na, std::conj(b)) / r;
   return {c, std::conj(s)};
 }
 
@@ -108,8 +117,8 @@ void hessenberg_schur(DenseMatrix<cplx>& h, DenseMatrix<cplx>& q) {
     // Wilkinson shift from the trailing 2x2 of the active block.
     const cplx a = h(hi - 1, hi - 1), b = h(hi - 1, hi), c = h(hi, hi - 1), d = h(hi, hi);
     const cplx tr = a + d;
-    const cplx det = a * d - b * c;
-    const cplx disc = std::sqrt(tr * tr - 4.0 * det);
+    const cplx det = detail::cmul(a, d) - detail::cmul(b, c);
+    const cplx disc = std::sqrt(detail::cmul(tr, tr) - 4.0 * det);
     const cplx l1 = 0.5 * (tr + disc), l2 = 0.5 * (tr - disc);
     const cplx shift = (std::abs(l1 - d) < std::abs(l2 - d)) ? l1 : l2;
     // Implicit single-shift sweep: chase the bulge with Givens rotations.
@@ -121,20 +130,20 @@ void hessenberg_schur(DenseMatrix<cplx>& h, DenseMatrix<cplx>& q) {
       const index_t c0 = (k > lo) ? k - 1 : lo;
       for (index_t col = c0; col < n; ++col) {
         const cplx t1 = h(k, col), t2 = h(k + 1, col);
-        h(k, col) = std::conj(g.c) * t1 + std::conj(g.s) * t2;
-        h(k + 1, col) = -g.s * t1 + g.c * t2;
+        h(k, col) = detail::conj_mul(g.c, t1) + detail::conj_mul(g.s, t2);
+        h(k + 1, col) = detail::cmul(-g.s, t1) + detail::cmul(g.c, t2);
       }
       // Apply G from the right to columns k, k+1.
       const index_t rmax = std::min(hi, k + 2);
       for (index_t row = 0; row <= rmax; ++row) {
         const cplx t1 = h(row, k), t2 = h(row, k + 1);
-        h(row, k) = t1 * g.c + t2 * g.s;
-        h(row, k + 1) = -t1 * std::conj(g.s) + t2 * std::conj(g.c);
+        h(row, k) = detail::cmul(t1, g.c) + detail::cmul(t2, g.s);
+        h(row, k + 1) = detail::cmul(-t1, std::conj(g.s)) + detail::cmul(t2, std::conj(g.c));
       }
       for (index_t row = 0; row < n; ++row) {
         const cplx t1 = q(row, k), t2 = q(row, k + 1);
-        q(row, k) = t1 * g.c + t2 * g.s;
-        q(row, k + 1) = -t1 * std::conj(g.s) + t2 * std::conj(g.c);
+        q(row, k) = detail::cmul(t1, g.c) + detail::cmul(t2, g.s);
+        q(row, k + 1) = detail::cmul(-t1, std::conj(g.s)) + detail::cmul(t2, std::conj(g.c));
       }
       if (k + 1 < hi) {
         x = h(k + 1, k);
@@ -144,31 +153,61 @@ void hessenberg_schur(DenseMatrix<cplx>& h, DenseMatrix<cplx>& q) {
   }
 }
 
-// Right eigenvectors of an upper triangular matrix by back substitution.
-DenseMatrix<cplx> triangular_eigenvectors(const DenseMatrix<cplx>& t) {
-  const index_t n = t.rows();
-  DenseMatrix<cplx> y(n, n);
+// Unit-norm right eigenvectors Q y_j of the Schur form t = Q^H A Q, for
+// the eigenvalue indices `which` only (LAPACK's ?hsein split: GCRO-DR
+// keeps k of the n). y_j comes from back substitution on t; column c of
+// the result is eigenvector which[c]. Every column is computed exactly as
+// if all n were formed: the back substitution and the Q y gemm are
+// column-independent.
+DenseMatrix<cplx> schur_eigenvectors(const DenseMatrix<cplx>& t, const DenseMatrix<cplx>& q,
+                                     const std::vector<index_t>& which) {
+  const index_t n = t.rows(), m = index_t(which.size());
+  DenseMatrix<cplx> y(n, m);
   double tnorm = 0;
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i <= j; ++i) tnorm = std::max(tnorm, std::abs(t(i, j)));
   const double smin = std::numeric_limits<double>::epsilon() * std::max(tnorm, 1e-300);
-  for (index_t j = n - 1; j >= 0; --j) {
+  for (index_t c = 0; c < m; ++c) {
+    const index_t j = which[size_t(c)];
     const cplx lambda = t(j, j);
-    y(j, j) = 1.0;
+    cplx* yc = y.col(c);
+    yc[j] = 1.0;
     for (index_t i = j - 1; i >= 0; --i) {
       cplx s = 0;
-      for (index_t l = i + 1; l <= j; ++l) s += t(i, l) * y(l, j);
+      for (index_t l = i + 1; l <= j; ++l) s += detail::cmul(t(i, l), yc[l]);
       cplx diag = t(i, i) - lambda;
       if (std::abs(diag) < smin) diag = cplx(smin);  // perturb repeated eigenvalues
-      y(i, j) = -s / diag;
+      yc[i] = -s / diag;
     }
     // Normalize.
     double nrm = 0;
-    for (index_t i = 0; i <= j; ++i) nrm += std::norm(y(i, j));
+    for (index_t i = 0; i <= j; ++i) nrm += std::norm(yc[i]);
     nrm = std::sqrt(nrm);
-    for (index_t i = 0; i <= j; ++i) y(i, j) /= nrm;
+    for (index_t i = 0; i <= j; ++i) yc[i] /= nrm;
   }
-  return y;
+  DenseMatrix<cplx> out(n, m);
+  gemm<cplx>(Trans::N, Trans::N, 1.0, q.view(), y.view(), 0.0, out.view());
+  for (index_t c = 0; c < m; ++c) {
+    const double nrm = norm2(n, out.col(c));
+    if (nrm > 0)
+      for (index_t i = 0; i < n; ++i) out(i, c) /= nrm;
+  }
+  return out;
+}
+
+// Schur form of a: on return a holds the upper triangular T and q the
+// unitary Q with A = Q T Q^H. Throws EigFailure if the QR iteration does
+// not converge.
+void schur(DenseMatrix<cplx>& a, DenseMatrix<cplx>& q) {
+  if (a.rows() != a.cols()) throw std::invalid_argument("eig: matrix must be square");
+  hessenberg_reduce(a, q);
+  hessenberg_schur(a, q);
+}
+
+std::vector<cplx> diagonal(const DenseMatrix<cplx>& t) {
+  std::vector<cplx> d(size_t(t.rows()));
+  for (index_t i = 0; i < t.rows(); ++i) d[size_t(i)] = t(i, i);
+  return d;
 }
 
 // Order of eigenvalue indices by ascending magnitude.
@@ -188,67 +227,99 @@ DenseMatrix<cplx> to_complex(const DenseMatrix<double>& a) {
   return out;
 }
 
-// Select k columns spanning the smallest-|theta| invariant subspace.
-DenseMatrix<cplx> select_complex(const EigDecomposition& e, index_t k) {
-  const auto order = sort_by_magnitude(e.values);
-  const index_t n = e.vectors.rows();
-  DenseMatrix<cplx> out(n, k);
-  for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < n; ++i) out(i, j) = e.vectors(i, order[size_t(j)]);
-  return out;
+// W^{-1} T: the standard form of the pencil (T, W).
+DenseMatrix<cplx> standard_form(const DenseMatrix<cplx>& t, const DenseMatrix<cplx>& w) {
+  if (t.rows() != w.rows() || t.cols() != w.cols() || t.rows() != t.cols())
+    throw std::invalid_argument("eig_generalized: dimension mismatch");
+  DenseLU<cplx> lu(copy_of(w));
+  if (lu.singular())
+    throw EigFailure("eig_generalized: W is singular; use the other recycle strategy");
+  DenseMatrix<cplx> c = copy_of(t);
+  lu.solve(c.view());
+  return c;
 }
 
-// Real span of the smallest-|theta| eigenvectors: conjugate pairs become
-// [Re z, Im z]; the pair's mirror eigenvalue is consumed.
-DenseMatrix<double> select_real(const EigDecomposition& e, index_t k) {
-  const auto order = sort_by_magnitude(e.values);
-  const index_t n = e.vectors.rows();
-  DenseMatrix<double> out(n, k);
-  std::vector<bool> used(e.values.size(), false);
+// The k eigenvectors of smallest |theta|, in ascending |theta| order.
+DenseMatrix<cplx> smallest_complex(DenseMatrix<cplx> a, index_t k) {
+  DenseMatrix<cplx> q;
+  schur(a, q);
+  const auto order = sort_by_magnitude(diagonal(a));
+  return schur_eigenvectors(a, q, std::vector<index_t>(order.begin(), order.begin() + k));
+}
+
+// One eigenvalue taken by smallest_real: a real one (one column) or one
+// of a conjugate pair (the columns Re z, Im z; its mirror is consumed).
+struct RealPick {
+  index_t idx;
+  bool pair;
+};
+
+std::vector<RealPick> pick_real(const std::vector<cplx>& values, index_t k) {
+  const auto order = sort_by_magnitude(values);
+  std::vector<RealPick> picks;
+  std::vector<bool> used(values.size(), false);
   index_t filled = 0;
   for (index_t oi = 0; oi < index_t(order.size()) && filled < k; ++oi) {
     const index_t idx = order[size_t(oi)];
     if (used[size_t(idx)]) continue;
     used[size_t(idx)] = true;
-    const cplx lambda = e.values[size_t(idx)];
+    const cplx lambda = values[size_t(idx)];
     const double scale = std::max(std::abs(lambda), 1e-300);
     if (std::abs(lambda.imag()) <= 1e-10 * scale) {
+      picks.push_back({idx, false});
+      ++filled;
+      continue;
+    }
+    index_t mirror = -1;
+    double best = std::numeric_limits<double>::max();
+    for (index_t l = 0; l < index_t(values.size()); ++l) {
+      if (used[size_t(l)]) continue;
+      const double d = std::abs(values[size_t(l)] - std::conj(lambda));
+      if (d < best) {
+        best = d;
+        mirror = l;
+      }
+    }
+    if (mirror >= 0 && best <= 1e-6 * scale) used[size_t(mirror)] = true;
+    picks.push_back({idx, true});
+    filled += (filled + 1 < k) ? 2 : 1;
+  }
+  return picks;
+}
+
+// Real span of the smallest-|theta| eigenvectors: conjugate pairs become
+// [Re z, Im z]; the pair's mirror eigenvalue is consumed.
+DenseMatrix<double> smallest_real(DenseMatrix<cplx> a, index_t k) {
+  DenseMatrix<cplx> q;
+  schur(a, q);
+  const auto picks = pick_real(diagonal(a), k);
+  std::vector<index_t> which;
+  for (const RealPick& p : picks) which.push_back(p.idx);
+  const DenseMatrix<cplx> z = schur_eigenvectors(a, q, which);
+  const index_t n = z.rows();
+  DenseMatrix<double> out(n, k);
+  index_t filled = 0;
+  for (index_t c = 0; c < index_t(picks.size()); ++c) {
+    const cplx* zc = z.col(c);
+    double re2 = 0, im2 = 0;
+    for (index_t i = 0; i < n; ++i) {
+      re2 += zc[i].real() * zc[i].real();
+      im2 += zc[i].imag() * zc[i].imag();
+    }
+    if (!picks[size_t(c)].pair) {
       // Real eigenvalue: take the real part of the eigenvector (for a real
       // matrix it is real up to a unit phase; pick the dominant part).
-      double re2 = 0, im2 = 0;
-      for (index_t i = 0; i < n; ++i) {
-        re2 += e.vectors(i, idx).real() * e.vectors(i, idx).real();
-        im2 += e.vectors(i, idx).imag() * e.vectors(i, idx).imag();
-      }
       const bool use_im = im2 > re2;
-      double nrm = std::sqrt(std::max(use_im ? im2 : re2, 1e-300));
-      for (index_t i = 0; i < n; ++i)
-        out(i, filled) = (use_im ? e.vectors(i, idx).imag() : e.vectors(i, idx).real()) / nrm;
+      const double nrm = std::sqrt(std::max(use_im ? im2 : re2, 1e-300));
+      for (index_t i = 0; i < n; ++i) out(i, filled) = (use_im ? zc[i].imag() : zc[i].real()) / nrm;
       ++filled;
     } else {
-      // Conjugate pair: mark the mirror as used, keep [Re z, Im z].
-      index_t mirror = -1;
-      double best = std::numeric_limits<double>::max();
-      for (index_t l = 0; l < index_t(e.values.size()); ++l) {
-        if (used[size_t(l)]) continue;
-        const double d = std::abs(e.values[size_t(l)] - std::conj(lambda));
-        if (d < best) {
-          best = d;
-          mirror = l;
-        }
-      }
-      if (mirror >= 0 && best <= 1e-6 * scale) used[size_t(mirror)] = true;
-      double re2 = 0, im2 = 0;
-      for (index_t i = 0; i < n; ++i) {
-        re2 += e.vectors(i, idx).real() * e.vectors(i, idx).real();
-        im2 += e.vectors(i, idx).imag() * e.vectors(i, idx).imag();
-      }
       const double nr = std::sqrt(std::max(re2, 1e-300));
       const double ni = std::sqrt(std::max(im2, 1e-300));
-      for (index_t i = 0; i < n; ++i) out(i, filled) = e.vectors(i, idx).real() / nr;
+      for (index_t i = 0; i < n; ++i) out(i, filled) = zc[i].real() / nr;
       ++filled;
       if (filled < k) {
-        for (index_t i = 0; i < n; ++i) out(i, filled) = e.vectors(i, idx).imag() / ni;
+        for (index_t i = 0; i < n; ++i) out(i, filled) = zc[i].imag() / ni;
         ++filled;
       }
     }
@@ -260,60 +331,45 @@ DenseMatrix<double> select_real(const EigDecomposition& e, index_t k) {
 
 EigDecomposition eig_general(DenseMatrix<cplx> a) {
   const index_t n = a.rows();
-  if (n != a.cols()) throw std::invalid_argument("eig_general: matrix must be square");
   DenseMatrix<cplx> q;
-  hessenberg_reduce(a, q);
-  hessenberg_schur(a, q);
+  schur(a, q);
   EigDecomposition out;
-  out.values.resize(size_t(n));
-  for (index_t i = 0; i < n; ++i) out.values[size_t(i)] = a(i, i);
-  const DenseMatrix<cplx> y = triangular_eigenvectors(a);
-  out.vectors.resize(n, n);
-  gemm<cplx>(Trans::N, Trans::N, 1.0, q.view(), y.view(), 0.0, out.vectors.view());
-  // Normalize columns.
-  for (index_t j = 0; j < n; ++j) {
-    const double nrm = norm2(n, out.vectors.col(j));
-    if (nrm > 0)
-      for (index_t i = 0; i < n; ++i) out.vectors(i, j) /= nrm;
-  }
+  out.values = diagonal(a);
+  std::vector<index_t> all(static_cast<size_t>(n));
+  std::iota(all.begin(), all.end(), index_t(0));
+  out.vectors = schur_eigenvectors(a, q, all);
+  BKR_ASSERT_SHAPE(out.vectors, n, n);
   return out;
 }
 
 EigDecomposition eig_generalized(const DenseMatrix<cplx>& t, const DenseMatrix<cplx>& w) {
-  if (t.rows() != w.rows() || t.cols() != w.cols() || t.rows() != t.cols())
-    throw std::invalid_argument("eig_generalized: dimension mismatch");
-  DenseLU<cplx> lu(copy_of(w));
-  if (lu.singular())
-    throw EigFailure("eig_generalized: W is singular; use the other recycle strategy");
-  DenseMatrix<cplx> c = copy_of(t);
-  lu.solve(c.view());
-  return eig_general(std::move(c));
+  return eig_general(standard_form(t, w));
 }
 
 template <>
 DenseMatrix<double> smallest_eig_vectors<double>(const DenseMatrix<double>& a, index_t k) {
   BKR_REQUIRE(k >= 0 && k <= a.rows(), "k", k, "a.rows", a.rows());
-  return select_real(eig_general(to_complex(a)), k);
+  return smallest_real(to_complex(a), k);
 }
 
 template <>
 DenseMatrix<cplx> smallest_eig_vectors<cplx>(const DenseMatrix<cplx>& a, index_t k) {
   BKR_REQUIRE(k >= 0 && k <= a.rows(), "k", k, "a.rows", a.rows());
-  return select_complex(eig_general(copy_of(a)), k);
+  return smallest_complex(copy_of(a), k);
 }
 
 template <>
 DenseMatrix<double> smallest_gen_eig_vectors<double>(const DenseMatrix<double>& t,
                                                      const DenseMatrix<double>& w, index_t k) {
   BKR_REQUIRE(k >= 0 && k <= t.rows(), "k", k, "t.rows", t.rows());
-  return select_real(eig_generalized(to_complex(t), to_complex(w)), k);
+  return smallest_real(standard_form(to_complex(t), to_complex(w)), k);
 }
 
 template <>
 DenseMatrix<cplx> smallest_gen_eig_vectors<cplx>(const DenseMatrix<cplx>& t,
                                                  const DenseMatrix<cplx>& w, index_t k) {
   BKR_REQUIRE(k >= 0 && k <= t.rows(), "k", k, "t.rows", t.rows());
-  return select_complex(eig_generalized(t, w), k);
+  return smallest_complex(standard_form(t, w), k);
 }
 
 }  // namespace bkr

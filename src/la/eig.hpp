@@ -5,10 +5,11 @@
 // line 16, with the left-hand side of eq. 2) or of a generalized pencil
 // (T, W) (fig. 1 line 33, eq. 3a/3b). The matrices are small — order
 // p*(m+1) at most — so a dense complex QR (Schur) iteration is used, the
-// same algorithm LAPACK's ?hseqr implements. Real inputs are promoted to
-// complex; for real solvers, complex-conjugate eigenvector pairs are
-// returned as their real span [Re z, Im z] so that the recycled subspace
-// U_k stays real.
+// same algorithm LAPACK's ?hseqr implements; the smallest_* selections
+// then form only the k eigenvectors they return (?hsein's split). Real
+// inputs are promoted to complex; for real solvers, complex-conjugate
+// eigenvector pairs are returned as their real span [Re z, Im z] so that
+// the recycled subspace U_k stays real.
 #pragma once
 
 #include <complex>

@@ -224,8 +224,9 @@ class JsonParser {
 
 const char* const kSchema = "bkr-bench-kernels-1";
 const char* const kShardedSchema = "bkr-bench-sharded-1";
-const char* const kKernels[] = {"spmv",  "spmm", "gemm",       "herk",       "dot",
-                                "norms", "trsm", "ldlt_solve", "alloc_churn"};
+const char* const kKernels[] = {"spmv",       "spmm",        "gemm",       "herk",
+                                "dot",        "norms",       "trsm",       "ldlt_solve",
+                                "restart_eig", "alloc_churn"};
 
 struct BenchEntry {
   std::string kernel;
