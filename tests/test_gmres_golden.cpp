@@ -1,4 +1,6 @@
-// Golden oracle for block_gmres and pseudo_block_gmres.
+// Golden oracle for block_gmres and pseudo_block_gmres, and for the
+// recycling and short-recurrence solvers (GcroDr / PseudoGcroDr with
+// k = 5, lgmres, cg, block_cg).
 //
 // Each case hashes (FNV-1a, 64 bit) everything a solve reports: the
 // residual history, the solution bits, the iteration counts (total and per
@@ -8,7 +10,9 @@
 // bodies that preceded the shared Arnoldi engine, so every entry pins that
 // running GMRES as GCRO-DR with k = 0 is bitwise what those bodies did.
 // `cycles` is left out: its definition (Arnoldi cycles, not restarts + 1)
-// changed with the merge.
+// changed with the merge. The k = 5, LGMRES and CG tables were captured
+// before the solver bodies moved onto detail::SolveContext; the
+// FaultInjector cells also hash the hook visits of every fault site.
 //
 // A mismatching or missing entry prints the hash it computed as a table
 // line, so a deliberate numerics change regenerates the table from the
@@ -20,12 +24,18 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "core/block_cg.hpp"
+#include "core/cg.hpp"
+#include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
+#include "core/lgmres.hpp"
 #include "fem/maxwell3d.hpp"
 #include "fem/poisson2d.hpp"
 #include "parallel/comm_model.hpp"
 #include "precond/jacobi.hpp"
+#include "resilience/fault_injector.hpp"
 #include "test_helpers.hpp"
 
 namespace bkr {
@@ -340,6 +350,347 @@ TEST(GmresGolden, ZeroToleranceBudgetExhausted) {
         Preconditioner<double>* m = side == PrecondSide::None ? nullptr : &jacobi;
         expect_golden(golden, name, run_case<double>(method, a, m, b.view(), opts));
       }
+}
+
+// ---- recycling and short-recurrence solvers ----
+
+// A second real operator of the same sparsity family (other inclusions),
+// for the changed-matrix step of a recycling sequence.
+CsrMatrix<double> real_problem_next() { return poisson2d_varcoef(8, 8, 50.0, 5, 11); }
+
+CsrMatrix<cplx> complex_problem_next() {
+  MaxwellConfig cfg;
+  cfg.n = 4;
+  cfg.wavelengths = 0.9;
+  cfg.loss = 0.35;
+  return maxwell3d(cfg).matrix;
+}
+
+// Hermitian positive definite complex operator for the CG family: the
+// real varcoef Laplacian, shifted by 0.5, plus an imaginary Hermitian
+// coupling of the neighbouring unknowns i and i + 1.
+CsrMatrix<cplx> complex_hpd_problem() {
+  const CsrMatrix<double> a = real_problem();
+  CooBuilder<cplx> coo(a.rows(), a.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t l = a.rowptr()[size_t(i)]; l < a.rowptr()[size_t(i) + 1]; ++l)
+      coo.add(i, a.colind()[size_t(l)], cplx(a.values()[size_t(l)], 0.0));
+    coo.add(i, i, cplx(0.5, 0.0));
+    if (i + 1 < a.rows()) {
+      coo.add(i, i + 1, cplx(0.0, 0.1));
+      coo.add(i + 1, i, cplx(0.0, -0.1));
+    }
+  }
+  return coo.build();
+}
+
+SolverOptions recycle_options() {
+  SolverOptions opts;
+  opts.restart = 10;
+  opts.recycle = 5;
+  opts.tol = 1e-8;
+  opts.max_iterations = 400;
+  return opts;
+}
+
+const char* strategy_name(RecycleStrategy s) { return s == RecycleStrategy::A ? "A" : "B"; }
+
+// Adds the visit counts of every fault site to a hash.
+std::uint64_t with_visits(std::uint64_t h, const resilience::FaultInjector& inj) {
+  Fnv1a f;
+  f.h = h;
+  for (int s = 0; s < resilience::kFaultSiteCount; ++s)
+    f.value<std::int64_t>(inj.visits(static_cast<resilience::FaultSite>(s)));
+  return f.h;
+}
+
+// A three-solve sequence through one engine: the first system, a changed
+// matrix (new_matrix = true: requalify U through op(U), refresh every
+// cycle) and the same matrix again with a new right-hand side
+// (new_matrix = false: the recycled space stays fixed). Each solve starts
+// from a zero guess; the three hashes chain into one.
+template <class Engine, class T>
+std::uint64_t run_sequence(const CsrMatrix<T>& a0, const CsrMatrix<T>& a1, PrecondSide side,
+                           const SolverOptions& opts, index_t p,
+                           resilience::FaultInjector* inj = nullptr) {
+  SolverOptions o = opts;
+  o.side = side;
+  o.fault = inj;
+  Engine engine(o);
+  JacobiPreconditioner<T> j0(a0), j1(a1);
+  CsrOperator<T> op0(a0), op1(a1);
+  Fnv1a f;
+  const struct {
+    const CsrOperator<T>* op;
+    Preconditioner<T>* m;
+    bool new_matrix;
+    unsigned seed;
+  } steps[] = {{&op0, &j0, true, 41}, {&op1, &j1, true, 43}, {&op1, &j1, false, 47}};
+  for (const auto& step : steps) {
+    CommModel comm;
+    const DenseMatrix<T> b = random_matrix<T>(a0.rows(), p, step.seed);
+    DenseMatrix<T> x(a0.rows(), p);
+    Preconditioner<T>* m = side == PrecondSide::None ? nullptr : step.m;
+    const SolveStats st = engine.solve(*step.op, m, b.view(), x.view(), &comm, step.new_matrix);
+    f.value<std::uint64_t>(
+        solve_hash<T>(st, MatrixView<const T>(x.data(), x.rows(), x.cols(), x.ld()), comm));
+  }
+  return inj == nullptr ? f.h : with_visits(f.h, *inj);
+}
+
+// The {engine} x {strategy} x {side} x {p} grid of k = 5 sequences.
+template <class T>
+void run_recycle_grid(const char* scalar, const CsrMatrix<T>& a0, const CsrMatrix<T>& a1,
+                      const std::map<std::string, std::uint64_t>& golden) {
+  for (const Method method : {Method::Block, Method::Pseudo})
+    for (const RecycleStrategy strategy : {RecycleStrategy::A, RecycleStrategy::B})
+      for (const PrecondSide side :
+           {PrecondSide::None, PrecondSide::Left, PrecondSide::Right, PrecondSide::Flexible})
+        for (const index_t p : {index_t(1), index_t(3)}) {
+          SolverOptions opts = recycle_options();
+          opts.strategy = strategy;
+          const std::string name = std::string(scalar) +
+                                   (method == Method::Block ? "/gcrodr/" : "/pseudo/") +
+                                   strategy_name(strategy) + "/" + side_name(side) + "/p" +
+                                   std::to_string(p);
+          const std::uint64_t h =
+              method == Method::Block
+                  ? run_sequence<GcroDr<T>>(a0, a1, side, opts, p)
+                  : run_sequence<PseudoGcroDr<T>>(a0, a1, side, opts, p);
+          expect_golden(golden, name, h);
+        }
+  // One MGS cell per engine: pseudo-block MGS books j + 1 reductions as
+  // one CommModel message.
+  for (const Method method : {Method::Block, Method::Pseudo}) {
+    SolverOptions opts = recycle_options();
+    opts.ortho = Ortho::Mgs;
+    const std::string name =
+        std::string(scalar) + (method == Method::Block ? "/gcrodr" : "/pseudo") + "/mgs";
+    const std::uint64_t h =
+        method == Method::Block
+            ? run_sequence<GcroDr<T>>(a0, a1, PrecondSide::Right, opts, 3)
+            : run_sequence<PseudoGcroDr<T>>(a0, a1, PrecondSide::Right, opts, 3);
+    expect_golden(golden, name, h);
+  }
+}
+
+TEST(GmresGolden, RecycleRealGrid) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"real/gcrodr/A/none/p1", 0xa957d49d9e83fb16ULL},
+      {"real/gcrodr/A/none/p3", 0x48cbe5b9df6b488cULL},
+      {"real/gcrodr/A/left/p1", 0xbb49b10ad3f700aULL},
+      {"real/gcrodr/A/left/p3", 0xaa38b5a7e5a5c68bULL},
+      {"real/gcrodr/A/right/p1", 0x66f08a8b64127099ULL},
+      {"real/gcrodr/A/right/p3", 0x95790a2d2f332de4ULL},
+      {"real/gcrodr/A/flexible/p1", 0x59f453e61180462bULL},
+      {"real/gcrodr/A/flexible/p3", 0x7c4b95bb114b6cb1ULL},
+      {"real/gcrodr/B/none/p1", 0x93cf77fd0faadbeaULL},
+      {"real/gcrodr/B/none/p3", 0x6d2095e7ac429603ULL},
+      {"real/gcrodr/B/left/p1", 0x2f01025abf2b28d4ULL},
+      {"real/gcrodr/B/left/p3", 0x41f9c72a28dc474ULL},
+      {"real/gcrodr/B/right/p1", 0x4bed35771e35ebd2ULL},
+      {"real/gcrodr/B/right/p3", 0x11ef0cf7a85062d9ULL},
+      {"real/gcrodr/B/flexible/p1", 0xf92d4ebdca1dcad3ULL},
+      {"real/gcrodr/B/flexible/p3", 0x391cfef7767b475bULL},
+      {"real/pseudo/A/none/p1", 0xa3871fd4ee0f35bfULL},
+      {"real/pseudo/A/none/p3", 0x6e94a93555245305ULL},
+      {"real/pseudo/A/left/p1", 0xa3518790fc305aecULL},
+      {"real/pseudo/A/left/p3", 0xc5fecc7f179674ffULL},
+      {"real/pseudo/A/right/p1", 0xd4d1195ef9357e4ULL},
+      {"real/pseudo/A/right/p3", 0xab8200125db7a8d5ULL},
+      {"real/pseudo/A/flexible/p1", 0x399ad0ed1487911fULL},
+      {"real/pseudo/A/flexible/p3", 0x14ad8921fdb69aecULL},
+      {"real/pseudo/B/none/p1", 0x688ff2d69e136529ULL},
+      {"real/pseudo/B/none/p3", 0xcd9adc4c18d30071ULL},
+      {"real/pseudo/B/left/p1", 0x822cfcee2fae5240ULL},
+      {"real/pseudo/B/left/p3", 0xc385721459a1a5a5ULL},
+      {"real/pseudo/B/right/p1", 0xe716657aa67c3f52ULL},
+      {"real/pseudo/B/right/p3", 0xf2996a9f6eb267aULL},
+      {"real/pseudo/B/flexible/p1", 0xa726f54aaabd293fULL},
+      {"real/pseudo/B/flexible/p3", 0xec5865d0f2bfe4b9ULL},
+      {"real/gcrodr/mgs", 0x29859f5ee78817ecULL},
+      {"real/pseudo/mgs", 0x892b6dd247139e60ULL},
+  };
+  run_recycle_grid<double>("real", real_problem(), real_problem_next(), golden);
+}
+
+TEST(GmresGolden, RecycleComplexGrid) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"complex/gcrodr/A/none/p1", 0x9134bb59f35b3abdULL},
+      {"complex/gcrodr/A/none/p3", 0x7abc09b93e4ac2c6ULL},
+      {"complex/gcrodr/A/left/p1", 0x3b8c34872ee3fa02ULL},
+      {"complex/gcrodr/A/left/p3", 0x7f86222e0c532cefULL},
+      {"complex/gcrodr/A/right/p1", 0x7aac95b731b0b6feULL},
+      {"complex/gcrodr/A/right/p3", 0x309e1e331baa5b88ULL},
+      {"complex/gcrodr/A/flexible/p1", 0xc57a35d3795d42a7ULL},
+      {"complex/gcrodr/A/flexible/p3", 0x825d38bb4c1e444ULL},
+      {"complex/gcrodr/B/none/p1", 0x132cb44a54d51e81ULL},
+      {"complex/gcrodr/B/none/p3", 0x114a948c09a64f97ULL},
+      {"complex/gcrodr/B/left/p1", 0xce0b503c5699a0a7ULL},
+      {"complex/gcrodr/B/left/p3", 0xdcff60fb77ecee9ULL},
+      {"complex/gcrodr/B/right/p1", 0x99490601f6a7eba8ULL},
+      {"complex/gcrodr/B/right/p3", 0xbcda2056717ea6e0ULL},
+      {"complex/gcrodr/B/flexible/p1", 0x7d28bd2d8f7c9ebfULL},
+      {"complex/gcrodr/B/flexible/p3", 0x1226ffc8266b8487ULL},
+      {"complex/pseudo/A/none/p1", 0x5d1bd1d4aaaef99bULL},
+      {"complex/pseudo/A/none/p3", 0x6b3dc1b721f2b937ULL},
+      {"complex/pseudo/A/left/p1", 0x2898df4f01713992ULL},
+      {"complex/pseudo/A/left/p3", 0xc852cab1a3c9a78cULL},
+      {"complex/pseudo/A/right/p1", 0x56926d987d544b71ULL},
+      {"complex/pseudo/A/right/p3", 0xeadd6f6752fd9d66ULL},
+      {"complex/pseudo/A/flexible/p1", 0x34377e0c389231acULL},
+      {"complex/pseudo/A/flexible/p3", 0x3010b8191122f5c7ULL},
+      {"complex/pseudo/B/none/p1", 0x95525496aeb137c8ULL},
+      {"complex/pseudo/B/none/p3", 0x2f476d9ad4f6a5a3ULL},
+      {"complex/pseudo/B/left/p1", 0xcc71eb553cac6136ULL},
+      {"complex/pseudo/B/left/p3", 0x876c922356113617ULL},
+      {"complex/pseudo/B/right/p1", 0xfbdbfaa9828046ebULL},
+      {"complex/pseudo/B/right/p3", 0x7f491a4a4b2a020dULL},
+      {"complex/pseudo/B/flexible/p1", 0xc3ff6a124960c417ULL},
+      {"complex/pseudo/B/flexible/p3", 0x5df9b20f053c0d2dULL},
+      {"complex/gcrodr/mgs", 0xa5a3686dcb6c45b9ULL},
+      {"complex/pseudo/mgs", 0xd6e266454578157eULL},
+  };
+  run_recycle_grid<cplx>("complex", complex_problem(), complex_problem_next(), golden);
+}
+
+// LGMRES with three augmentation vectors, per side.
+template <class T>
+std::uint64_t run_lgmres(const CsrMatrix<T>& a, PrecondSide side,
+                         resilience::FaultInjector* inj = nullptr) {
+  SolverOptions opts = grid_options();
+  opts.restart = 10;
+  opts.recycle = 3;
+  opts.side = side;
+  opts.fault = inj;
+  CsrOperator<T> op(a);
+  JacobiPreconditioner<T> jacobi(a);
+  CommModel comm;
+  const DenseMatrix<T> b = random_matrix<T>(a.rows(), 1, 53);
+  std::vector<T> bv(b.col(0), b.col(0) + a.rows()), x(size_t(a.rows()), T(0));
+  const SolveStats st = lgmres<T>(op, side == PrecondSide::None ? nullptr : &jacobi, bv, x, opts,
+                                  &comm);
+  const std::uint64_t h =
+      solve_hash<T>(st, MatrixView<const T>(x.data(), a.rows(), 1, a.rows()), comm);
+  return inj == nullptr ? h : with_visits(h, *inj);
+}
+
+enum class CgMethod { Cg, BlockCg };
+
+// CG / block CG from a zero guess, unpreconditioned or with Jacobi.
+template <class T>
+std::uint64_t run_cg(CgMethod method, const CsrMatrix<T>& a, bool precond, index_t p,
+                     resilience::FaultInjector* inj = nullptr) {
+  SolverOptions opts = grid_options();
+  opts.fault = inj;
+  CsrOperator<T> op(a);
+  JacobiPreconditioner<T> jacobi(a);
+  CommModel comm;
+  const DenseMatrix<T> b = random_matrix<T>(a.rows(), p, 59);
+  DenseMatrix<T> x(a.rows(), p);
+  Preconditioner<T>* m = precond ? &jacobi : nullptr;
+  const SolveStats st = method == CgMethod::Cg
+                            ? cg<T>(op, m, b.view(), x.view(), opts, &comm)
+                            : block_cg<T>(op, m, b.view(), x.view(), opts, &comm);
+  const std::uint64_t h =
+      solve_hash<T>(st, MatrixView<const T>(x.data(), x.rows(), x.cols(), x.ld()), comm);
+  return inj == nullptr ? h : with_visits(h, *inj);
+}
+
+template <class T>
+void run_short_grid(const char* scalar, const CsrMatrix<T>& general, const CsrMatrix<T>& hpd,
+                    const std::map<std::string, std::uint64_t>& golden) {
+  for (const PrecondSide side :
+       {PrecondSide::None, PrecondSide::Left, PrecondSide::Right, PrecondSide::Flexible})
+    expect_golden(golden, std::string(scalar) + "/lgmres/" + side_name(side),
+                  run_lgmres<T>(general, side));
+  for (const CgMethod method : {CgMethod::Cg, CgMethod::BlockCg})
+    for (const bool precond : {false, true})
+      for (const index_t p : {index_t(1), index_t(3)})
+        expect_golden(golden,
+                      std::string(scalar) + (method == CgMethod::Cg ? "/cg/" : "/block_cg/") +
+                          (precond ? "jacobi" : "none") + "/p" + std::to_string(p),
+                      run_cg<T>(method, hpd, precond, p));
+}
+
+TEST(GmresGolden, ShortRecurrenceAndLgmres) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"real/lgmres/none", 0x6af63f9b921d1bc7ULL},
+      {"real/lgmres/left", 0x4d6565b52655fd20ULL},
+      {"real/lgmres/right", 0x7d9b5d935fadf025ULL},
+      {"real/lgmres/flexible", 0x8ee204794b8e44b4ULL},
+      {"real/cg/none/p1", 0xe5f271cec67f9442ULL},
+      {"real/cg/none/p3", 0x6548751325a04426ULL},
+      {"real/cg/jacobi/p1", 0x5b8275c378172325ULL},
+      {"real/cg/jacobi/p3", 0xbf17e35d9c5a69a7ULL},
+      {"real/block_cg/none/p1", 0xe5f271cec67f9442ULL},
+      {"real/block_cg/none/p3", 0xa9289bf5c36f7ad9ULL},
+      {"real/block_cg/jacobi/p1", 0x5b8275c378172325ULL},
+      {"real/block_cg/jacobi/p3", 0xe339af9d7e62ceacULL},
+      {"complex/lgmres/none", 0x66fd48c0ae9c3f34ULL},
+      {"complex/lgmres/left", 0x4706144d053c2030ULL},
+      {"complex/lgmres/right", 0x9abd0a27301c1d4eULL},
+      {"complex/lgmres/flexible", 0xb25c7118f7e8a1cULL},
+      {"complex/cg/none/p1", 0x2277344cc9f42a02ULL},
+      {"complex/cg/none/p3", 0xa41edd02136303b2ULL},
+      {"complex/cg/jacobi/p1", 0x674bcc8977f27c4fULL},
+      {"complex/cg/jacobi/p3", 0x63d3314e294edb09ULL},
+      {"complex/block_cg/none/p1", 0x2277344cc9f42a02ULL},
+      {"complex/block_cg/none/p3", 0x3ddf052d10d34b3cULL},
+      {"complex/block_cg/jacobi/p1", 0xa81a4b9a5f60fcb6ULL},
+      {"complex/block_cg/jacobi/p3", 0x3815f9e2087e8b65ULL},
+  };
+  run_short_grid<double>("real", real_problem(), real_problem(), golden);
+  run_short_grid<cplx>("complex", complex_problem(), complex_hpd_problem(), golden);
+}
+
+// One counting FaultInjector (no plan fires) per solver, right
+// preconditioned where the solver has a side: the visit count of every
+// hook site is part of the hash, and the attached injector turns on the
+// true-residual epilogue.
+TEST(GmresGolden, FaultInjectorVisits) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"gcrodr", 0xab2085ebc93022f6ULL},
+      {"pseudo_gcrodr", 0x6d184ee5d6cc81c6ULL},
+      {"gcrodr/left", 0x164c19d3972e9213ULL},
+      {"pseudo_gcrodr/left", 0xfaa06e3c992a915fULL},
+      {"lgmres/right", 0x11473fa635b2e6b2ULL},
+      {"lgmres/left", 0xb8eb988e99059bf0ULL},
+      {"cg", 0x1d4c657333a90629ULL},
+      {"block_cg", 0x855efec9326468b2ULL},
+  };
+  const auto a0 = real_problem();
+  const auto a1 = real_problem_next();
+  const auto run = [&](const std::string& name, auto&& solve) {
+    resilience::FaultInjector inj;
+    expect_golden(golden, name, solve(&inj));
+  };
+  run("gcrodr", [&](resilience::FaultInjector* inj) {
+    return run_sequence<GcroDr<double>>(a0, a1, PrecondSide::Right, recycle_options(), 3, inj);
+  });
+  run("pseudo_gcrodr", [&](resilience::FaultInjector* inj) {
+    return run_sequence<PseudoGcroDr<double>>(a0, a1, PrecondSide::Right, recycle_options(), 3,
+                                              inj);
+  });
+  run("gcrodr/left", [&](resilience::FaultInjector* inj) {
+    return run_sequence<GcroDr<double>>(a0, a1, PrecondSide::Left, recycle_options(), 3, inj);
+  });
+  run("pseudo_gcrodr/left", [&](resilience::FaultInjector* inj) {
+    return run_sequence<PseudoGcroDr<double>>(a0, a1, PrecondSide::Left, recycle_options(), 3,
+                                              inj);
+  });
+  run("lgmres/right", [&](resilience::FaultInjector* inj) {
+    return run_lgmres<double>(a0, PrecondSide::Right, inj);
+  });
+  run("lgmres/left", [&](resilience::FaultInjector* inj) {
+    return run_lgmres<double>(a0, PrecondSide::Left, inj);
+  });
+  run("cg", [&](resilience::FaultInjector* inj) {
+    return run_cg<double>(CgMethod::Cg, a0, true, 3, inj);
+  });
+  run("block_cg", [&](resilience::FaultInjector* inj) {
+    return run_cg<double>(CgMethod::BlockCg, a0, true, 3, inj);
+  });
 }
 
 }  // namespace
