@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,9 +74,7 @@ PassResult run_session(const CsrMatrix<double>& a, index_t grid, index_t nrhs,
   return r;  // ~SolverSession deposits the final space into the cache
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Options opts(argc, argv);
   if (opts.has("help")) {
     std::printf("see the comment block at the top of examples/sequence_driver.cpp\n");
@@ -194,4 +193,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+}
+
+}  // namespace
+
+// An invalid option value (say -k -1) reaches the solver's own check;
+// report it and exit non-zero instead of aborting.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -50,6 +50,13 @@ rm -f "$SESSION_CACHE"
   -cache_file "$SESSION_CACHE" -assert_improvement > /dev/null
 ./build/examples/example_sequence_driver -grid 48 -method pbgcrodr \
   -cache_file "$SESSION_CACHE" -assert_improvement > /dev/null
+# A negative -k reaches GcroDr's check: one error line naming k, exit 2,
+# not an abort.
+if SEQ_OUT=$(./build/examples/example_sequence_driver -grid 16 -k -1 2>&1 > /dev/null); then
+  echo "session smoke: -k -1 exited 0"; exit 1
+fi
+echo "$SEQ_OUT" | grep -qw k \
+  || { echo "session smoke: -k -1 failed without naming k: $SEQ_OUT"; exit 1; }
 
 echo "==> driver smoke: GCRO-DR with k = 0 is GMRES"
 # The driver's -recycle 0 keeps every other flag and runs GCRO-DR without

@@ -39,8 +39,12 @@ using bkr::SolverSession;
 using cd = std::complex<double>;
 
 SolverOptions to_cpp(const bkr_options* opts) {
+  bkr_options defaults;
+  if (opts == nullptr) {
+    bkr_options_default(&defaults);
+    opts = &defaults;
+  }
   SolverOptions o;
-  if (opts == nullptr) return o;
   o.restart = opts->restart;
   o.recycle = opts->recycle;
   o.tol = opts->tol;
@@ -317,8 +321,8 @@ int bkr_gmres(const bkr_matrix* a, const double* b, double* x, const bkr_options
 }
 
 bkr_gcrodr* bkr_gcrodr_create(const bkr_options* opts) {
-  auto o = to_cpp(opts);
-  if (o.recycle <= 0) o.recycle = 10;
+  const auto o = to_cpp(opts);
+  if (o.recycle < 0) return nullptr;
   return new bkr_gcrodr{new GcroDr<double>(o)};
 }
 
@@ -352,7 +356,7 @@ bkr_session* bkr_session_create(const bkr_matrix* a, const bkr_options* opts, bk
   SessionConfig cfg;
   cfg.method = method;
   cfg.options = to_cpp(opts);
-  if (bkr::session_method_recycles(method) && cfg.options.recycle <= 0) cfg.options.recycle = 10;
+  if (cfg.options.recycle < 0) return nullptr;
   cfg.cache = cache == nullptr ? nullptr : &cache->c;
   bkr::TwoLevelPreconditioner<double>* coarse = nullptr;
   if (opts != nullptr && opts->coarse > 0) {
@@ -436,8 +440,8 @@ int bkr_zgmres(const bkr_zmatrix* a, const double* b_interleaved, double* x_inte
 }
 
 bkr_zgcrodr* bkr_zgcrodr_create(const bkr_options* opts) {
-  auto o = to_cpp(opts);
-  if (o.recycle <= 0) o.recycle = 10;
+  const auto o = to_cpp(opts);
+  if (o.recycle < 0) return nullptr;
   return new bkr_zgcrodr{new GcroDr<cd>(o)};
 }
 
@@ -474,7 +478,7 @@ bkr_zsession* bkr_zsession_create(const bkr_zmatrix* a, const bkr_options* opts,
   SessionConfig cfg;
   cfg.method = method;
   cfg.options = to_cpp(opts);
-  if (bkr::session_method_recycles(method) && cfg.options.recycle <= 0) cfg.options.recycle = 10;
+  if (cfg.options.recycle < 0) return nullptr;
   cfg.cache = cache == nullptr ? nullptr : &cache->c;
   bkr::TwoLevelPreconditioner<cd>* coarse = nullptr;
   if (opts != nullptr && opts->coarse > 0) {

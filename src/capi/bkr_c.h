@@ -78,7 +78,7 @@ typedef enum bkr_status {
 
 typedef struct bkr_options {
   int64_t restart;        /* m  (default 30) */
-  int64_t recycle;        /* k  (GCRO-DR only; default 10) */
+  int64_t recycle;        /* k  (GCRO-DR only; default 10; 0 runs GMRES) */
   double tol;             /* relative residual target (default 1e-8) */
   int64_t max_iterations; /* default 10000 */
   bkr_side side;          /* default BKR_SIDE_RIGHT */
@@ -224,7 +224,8 @@ int bkr_gmres(const bkr_matrix* a, const double* b, double* x, const bkr_options
 
 /* Persistent GCRO-DR: the recycled subspace lives in the handle across
  * calls, as in the paper's sequence API (eq. 1). `new_matrix` marks
- * A_i != A_{i-1}.
+ * A_i != A_{i-1}. opts == NULL means bkr_options_default (k = 10); k = 0
+ * runs GCRO-DR as GMRES, and a negative k makes create return NULL.
  *
  * Solve return codes: 0 = the solve ran (inspect result->converged and
  * result->status for the outcome), 1 = invalid input, 2 = internal error,
@@ -240,8 +241,8 @@ int bkr_gcrodr_solve(bkr_gcrodr* solver, const bkr_matrix* a, const double* b, d
  * arrive through bkr_session_solve. Recycling methods (GCRODR /
  * PSEUDO_GCRODR) carry their deflation space across solves; with a cache
  * attached they warm-start from it at create and deposit their final
- * space back at destroy. `cache` may be NULL. Returns NULL on invalid
- * input. */
+ * space back at destroy (k = 0 recycles nothing). `cache` may be NULL.
+ * Returns NULL on invalid input, including a negative k. */
 bkr_session* bkr_session_create(const bkr_matrix* a, const bkr_options* opts, bkr_cache* cache);
 void bkr_session_destroy(bkr_session* session);
 /* Solve A X = B for nrhs right-hand sides stored column-major with

@@ -154,7 +154,7 @@ std::string describe(const char* name, const V& value, const Rest&... rest) {
 // Precision-flow annotations (DESIGN.md §14, "bkr-fpflow"). Unconditional
 // no-ops like the lock and hot-path markers above — they are the vocabulary
 // of the intra-function precision-flow stage of tools/bkr_lint, which is
-// the precondition for any mixed-precision kernel (ROADMAP item 3): before
+// the precondition for any mixed-precision kernel: before
 // a kernel may narrow to fp32, the analyzer must know *where* narrowing is
 // permitted and *which* denominators and accumulations are guarded.
 //
@@ -185,7 +185,7 @@ std::string describe(const char* name, const V& value, const Rest&... rest) {
 //
 // Placement convention: `BKR_ALLOW_NARROWING const float vf = float(v);` /
 // `BKR_GUARDED_DIV const T tau = num / beta;  // beta != 0: early return` /
-// `BKR_TOLERANCE_ORACLE(MixedPrecisionOperator);` at test-file scope.
+// `BKR_TOLERANCE_ORACLE(Fp32Spmm);` at test-file scope.
 #define BKR_PRECISION_BOUNDARY
 #define BKR_ALLOW_NARROWING
 #define BKR_GUARDED_DIV

@@ -13,32 +13,25 @@ namespace {
 enum : int { kWsPq = kWsSolverBase, kWsAlpha, kWsBeta, kWsRt, kWsPnext };
 
 template <class T>
-void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-                   MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
-                   SolverWorkspace<T>& ws) {
+void block_cg_body(detail::SolveContext<T>& ctx, MatrixView<const T> b, MatrixView<T> x) {
   using Real = real_t<T>;
-  const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
+  const SolverOptions& opts = ctx.opts;
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
+  SolverWorkspace<T>& ws = ctx.ws;
+  const index_t n = b.rows(), p = b.cols();
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
+  ctx.norms(b, bnorm.data());
   for (auto& v : bnorm)
     if (v == Real(0)) v = Real(1);
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p), z(n, p), pdir(n, p), q(n, p);
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-    a.apply(MatrixView<const T>(x.data(), n, p, x.ld()), r.view());
-    ++st.operator_applies;
-    detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, r.view());
-  }
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) r(i, c) = b(i, c) - r(i, c);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
+  ctx.residual(b, x, r.view(), z, PrecondSide::None);
+  ctx.norms(r.view(), rnorm.data());
   if (opts.record_history)
     for (index_t c = 0; c < p; ++c)
       st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
@@ -47,32 +40,19 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
     return;
   }
 
-  auto precondition = [&](MatrixView<const T> in, MatrixView<T> out) {
-    if (m != nullptr) {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(in, out);
-      ++st.precond_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, out);
-    } else {
-      copy_into<T>(in, out);
-    }
-  };
   auto converged = [&] {
     for (index_t c = 0; c < p; ++c)
       if (rnorm[size_t(c)] > opts.tol * bnorm[size_t(c)]) return false;
     return true;
   };
 
-  precondition(r.view(), z.view());
+  ctx.precondition(r.view(), z.view());
   copy_into<T>(MatrixView<const T>(z.data(), n, p, z.ld()), pdir.view());
   // rho = Z^H R (p x p); one fused reduction.
   DenseMatrix<T> rho(p, p), rho_new(p, p);
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+  ctx.reduction({p * p * 8}, [&] {
     gemm<T>(Trans::C, Trans::N, T(1), z.view(), r.view(), T(0), rho.view(), ex);
-    st.reductions += 1;
-    if (comm != nullptr) comm->reduction(p * p * 8);
-  }
+  });
 
   // Iterate-loop scratch: workspace slots and persistent factor objects, so
   // the block recursion reaches its steady state with zero heap traffic.
@@ -87,23 +67,12 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
 
   BKR_HOT_LOOP while (!converged() && st.iterations < opts.max_iterations) {
     detail::poll_cancel(opts);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(MatrixView<const T>(pdir.data(), n, p, pdir.ld()), q.view());
-      ++st.operator_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, q.view());
-    }
+    ctx.apply_op(MatrixView<const T>(pdir.data(), n, p, pdir.ld()), q.view());
     // alpha solves (P^H Q) alpha = rho; fused with the residual norms.
     DenseMatrix<T>& pq = ws.mat(kWsPq, p, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction, 2);
+    ctx.reduction({p * p * 8, p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), pdir.view(), q.view(), T(0), pq.view(), ex);
-      st.reductions += 2;
-      if (comm != nullptr) {
-        comm->reduction(p * p * 8);
-        comm->reduction(p * 8);
-      }
-    }
+    });
     lu.factor(MatrixView<const T>(pq.data(), p, p, pq.ld()));
     if (lu.singular()) {
       // Exact block breakdown (rank-collapsed direction block, e.g. a zero
@@ -148,13 +117,10 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
       break;
     }
     if (converged()) break;
-    precondition(r.view(), z.view());
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    ctx.precondition(r.view(), z.view());
+    ctx.reduction({p * p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), z.view(), r.view(), T(0), rho_new.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * p * 8);
-    }
+    });
     obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
     // beta solves rho^H beta = rho_new (the O'Leary block update).
     DenseMatrix<T>& rt = ws.mat(kWsRt, p, p);
@@ -175,26 +141,8 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
     rho = rho_new;
   }
   st.converged = detail::finite_norms(rnorm.data(), p) && converged();
-  if (st.converged && (opts.fault != nullptr || opts.recovery.final_check)) {
-    // Like CG, the block recursion can be lied to by a faulted operator:
-    // confirm against the true residual before reporting success.
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(MatrixView<const T>(x.data(), n, p, x.ld()), q.view());
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) q(i, c) = b(i, c) - q(i, c);
-    detail::norms<T>(MatrixView<const T>(q.data(), n, p, q.ld()), rnorm.data(), st, comm, trace,
-                     ex, opts.shards);
-    for (index_t c = 0; c < p; ++c) {
-      if (rnorm[size_t(c)] <= Real(10) * opts.tol * bnorm[size_t(c)]) continue;
-      st.converged = false;
-      st.status = detail::finite_norms(&rnorm[size_t(c)], 1) ? SolveStatus::Faulted
-                                                             : SolveStatus::NonFiniteResidual;
-      break;
-    }
-  }
+  // Like CG, the block recursion can be lied to by a faulted operator.
+  ctx.true_residual_check(b, x, bnorm.data());
 }
 
 }  // namespace
@@ -202,11 +150,8 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
 template <class T>
 SolveStats block_cg(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
                     MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
-  detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver_ws<T>(
-      "block_cg", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
-        block_cg_body<T>(a, m, b, x, opts, comm, st, ws);
-      });
+  return detail::run_solve<T>("block_cg", a, m, b, x, opts, comm,
+                              [&](detail::SolveContext<T>& ctx) { block_cg_body<T>(ctx, b, x); });
 }
 
 template SolveStats block_cg<double>(const LinearOperator<double>&, Preconditioner<double>*,

@@ -10,13 +10,13 @@ namespace bkr {
 namespace {
 
 template <class T>
-void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-             MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st) {
+void cg_body(detail::SolveContext<T>& ctx, MatrixView<const T> b, MatrixView<T> x) {
   using Real = real_t<T>;
-  const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
+  const SolverOptions& opts = ctx.opts;
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
+  const index_t n = b.rows(), p = b.cols();
   // Sharded solves route every synchronization through the explicit tree
   // combine; the fold shape is shard-count independent (DESIGN.md §13).
   const bool tree = opts.shards > 0;
@@ -25,23 +25,15 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
   };
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
+  ctx.norms(b, bnorm.data());
   for (auto& v : bnorm)
     if (v == Real(0)) v = Real(1);
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p), z(n, p), q(n, p), d(n, p);
-  // r = b - A x
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-    a.apply(MatrixView<const T>(x.data(), n, p, x.ld()), r.view());
-    ++st.operator_applies;
-    detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, r.view());
-  }
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) r(i, c) = b(i, c) - r(i, c);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
+  ctx.residual(b, x, r.view(), z, PrecondSide::None);
+  ctx.norms(r.view(), rnorm.data());
   if (opts.record_history)
     for (index_t c = 0; c < p; ++c)
       st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
@@ -50,25 +42,12 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
     return;
   }
 
-  auto precondition = [&](MatrixView<const T> in, MatrixView<T> out) {
-    if (m != nullptr) {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(in, out);
-      ++st.precond_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, out);
-    } else {
-      copy_into<T>(in, out);
-    }
-  };
-  precondition(r.view(), z.view());
+  ctx.precondition(r.view(), z.view());
   copy_into<T>(MatrixView<const T>(z.data(), n, p, z.ld()), d.view());
   std::vector<T> rho(static_cast<size_t>(p)), rho_old(static_cast<size_t>(p));
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+  ctx.reduction({p * 8}, [&] {
     for (index_t c = 0; c < p; ++c) rho[size_t(c)] = cdot(r.col(c), z.col(c));
-    st.reductions += 1;
-    if (comm != nullptr) comm->reduction(p * 8);
-  }
+  });
 
   auto converged = [&] {
     for (index_t c = 0; c < p; ++c)
@@ -85,33 +64,6 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
     return false;
   };
 
-  // Mixed-precision pilot (DESIGN.md §14): the recursive residual tracks
-  // the reduced-precision operator, so it is periodically replaced — and
-  // always re-verified before reporting convergence — by the true fp64
-  // residual b - A x. With a MixedPrecisionOperator that goes through
-  // apply_full; any other operator is its own full-precision apply.
-  const MixedPrecisionOperator<T>* const mp =
-      opts.mixed_precision ? dynamic_cast<const MixedPrecisionOperator<T>*>(&a) : nullptr;
-  auto replace_residual = [&] {
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      const auto xv = MatrixView<const T>(x.data(), n, p, x.ld());
-      if (mp != nullptr) {
-        mp->apply_full(xv, r.view());
-      } else {
-        a.apply(xv, r.view());
-      }
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) r(i, c) = b(i, c) - r(i, c);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
-    ++st.recoveries;
-    if (trace != nullptr)
-      trace->recovery(obs::RecoveryEvent{st.iterations, "mixed-precision",
-                                         "residual-replacement", p});
-  };
-
   obs::IterationEvent ev;
   if (trace != nullptr) ev.residuals.reserve(static_cast<size_t>(p));
   if (opts.record_history) {
@@ -121,22 +73,11 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
 
   BKR_HOT_LOOP while (live_work() && st.iterations < opts.max_iterations) {
     detail::poll_cancel(opts);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(MatrixView<const T>(d.data(), n, p, d.ld()), q.view());
-      ++st.operator_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, q.view());
-    }
+    ctx.apply_op(MatrixView<const T>(d.data(), n, p, d.ld()), q.view());
     // Fused alpha = rho / (d, q) and (later) residual norms: two global
     // reductions, counted by the scope. The interleaved axpy updates ride
     // in the same span (separating them would split every column loop).
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction, 2);
-      st.reductions += 2;
-      if (comm != nullptr) {
-        comm->reduction(p * 8);
-        comm->reduction(p * 8);
-      }
+    ctx.reduction({p * 8, p * 8}, [&] {
       for (index_t c = 0; c < p; ++c) {
         if (lane_dead[size_t(c)] != 0) continue;
         const T dq = cdot(d.col(c), q.col(c));
@@ -158,7 +99,7 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
       } else {
         column_norms<T>(r.view(), rnorm.data(), ex);
       }
-    }
+    });
     ++st.iterations;
     for (index_t c = 0; c < p; ++c) {
       if (opts.record_history)
@@ -178,67 +119,21 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
       st.status = SolveStatus::NonFiniteResidual;
       break;
     }
-    if (opts.mixed_precision) {
-      bool done = converged();
-      const bool periodic = opts.replacement_interval > 0 &&
-                            st.iterations % opts.replacement_interval == 0;
-      if (done || periodic) {
-        // Drift correction (periodic) or convergence verification: after
-        // the replacement, rnorm holds the true fp64 residual, so the
-        // stopping test below cannot be lied to by the fp32 recursion.
-        replace_residual();
-        if (!detail::finite_norms(rnorm.data(), p)) {
-          st.status = SolveStatus::NonFiniteResidual;
-          break;
-        }
-        done = converged();
-      }
-      if (done) break;
-    } else if (converged()) {
-      break;
-    }
-    precondition(r.view(), z.view());
+    if (converged()) break;
+    ctx.precondition(r.view(), z.view());
     std::swap(rho, rho_old);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    ctx.reduction({p * 8}, [&] {
       for (index_t c = 0; c < p; ++c) rho[size_t(c)] = cdot(r.col(c), z.col(c));
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * 8);
-    }
+    });
     for (index_t c = 0; c < p; ++c) {
       const T beta = (rho_old[size_t(c)] == T(0)) ? T(0) : rho[size_t(c)] / rho_old[size_t(c)];
       for (index_t i = 0; i < n; ++i) d(i, c) = z(i, c) + beta * d(i, c);
     }
   }
   st.converged = detail::finite_norms(rnorm.data(), p) && converged();
-  if (st.converged &&
-      (opts.fault != nullptr || opts.recovery.final_check || opts.mixed_precision)) {
-    // The CG recursion can be lied to by a faulted operator: the recursive
-    // residual drifts away from b - A x. Confirm against the true residual
-    // before reporting success. Under the mixed-precision pilot the same
-    // epilogue re-measures against the fp64 matrix, not the fp32 mirror.
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      const auto xv = MatrixView<const T>(x.data(), n, p, x.ld());
-      if (mp != nullptr) {
-        mp->apply_full(xv, q.view());
-      } else {
-        a.apply(xv, q.view());
-      }
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) q(i, c) = b(i, c) - q(i, c);
-    detail::norms<T>(MatrixView<const T>(q.data(), n, p, q.ld()), rnorm.data(), st, comm, trace,
-                     ex, opts.shards);
-    for (index_t c = 0; c < p; ++c) {
-      if (rnorm[size_t(c)] <= Real(10) * opts.tol * bnorm[size_t(c)]) continue;
-      st.converged = false;
-      st.status = detail::finite_norms(&rnorm[size_t(c)], 1) ? SolveStatus::Faulted
-                                                             : SolveStatus::NonFiniteResidual;
-      break;
-    }
-  }
+  // The CG recursion can be lied to by a faulted operator: the recursive
+  // residual drifts away from b - A x.
+  ctx.true_residual_check(b, x, bnorm.data());
 }
 
 }  // namespace
@@ -246,9 +141,8 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
 template <class T>
 SolveStats cg(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
               MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
-  detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver("cg", a.n(), b.cols(), opts,
-                            [&](SolveStats& st) { cg_body<T>(a, m, b, x, opts, comm, st); });
+  return detail::run_solve<T>("cg", a, m, b, x, opts, comm,
+                              [&](detail::SolveContext<T>& ctx) { cg_body<T>(ctx, b, x); });
 }
 
 template SolveStats cg<double>(const LinearOperator<double>&, Preconditioner<double>*,

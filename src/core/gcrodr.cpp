@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/krylov_detail.hpp"
-#include "la/eig.hpp"
 
 namespace bkr {
 
@@ -36,13 +35,14 @@ struct ArnoldiCycle {
   obs::IterationEvent ev;
 
   // Returns the usable Krylov dimension (0 on immediate breakdown).
-  index_t run(const LinearOperator<T>& a, Preconditioner<T>* m, PrecondSide side,
-              MatrixView<const T> r0, MatrixView<const T> c, index_t max_steps,
-              const SolverOptions& opts, const std::vector<real_t<T>>& bnorm, SolveStats& st,
-              CommModel* comm, obs::TraceSink* trace, detail::Resilience<T>* rz,
-              SolverWorkspace<T>& ws) {
+  index_t run(detail::SolveContext<T>& ctx, MatrixView<const T> r0, MatrixView<const T> c,
+              index_t max_steps, const std::vector<real_t<T>>& bnorm) {
     using Real = real_t<T>;
-    const KernelExecutor* const ex = opts.exec;
+    const SolverOptions& opts = ctx.opts;
+    SolveStats& st = ctx.st;
+    obs::TraceSink* const trace = ctx.trace;
+    const KernelExecutor* const ex = ctx.ex;
+    const PrecondSide side = ctx.side;
     const index_t n = r0.rows(), p = r0.cols();
     const index_t kp = c.cols();
     v.resize(n, (max_steps + 1) * p);
@@ -73,10 +73,9 @@ struct ArnoldiCycle {
     // Rank-deficient residual blocks are tolerated here: breakdown is
     // detected per-column through usable_columns further down the cycle
     // (or repaired by the recovery ladder when it is enabled).
-    rz->prior = MatrixView<const T>();
-    rz->iteration = st.iterations;
-    detail::qr_block<T>(v.block(0, 0, n, p), sblock.view(),  // bkr-lint: allow(unchecked-factor)
-                        st, comm, trace, ex, rz);
+    ctx.rz.prior = MatrixView<const T>();
+    ctx.rz.iteration = st.iterations;
+    ctx.qr_block(v.block(0, 0, n, p), sblock.view());  // bkr-lint: allow(unchecked-factor)
     ghat.set_zero();
     for (index_t cc = 0; cc < p; ++cc)
       for (index_t rr = 0; rr <= cc; ++rr) ghat(rr, cc) = sblock(rr, cc);
@@ -91,25 +90,24 @@ struct ArnoldiCycle {
       detail::poll_cancel(opts);
       const auto vj = MatrixView<const T>(v.col(j * p), n, p, v.ld());
       MatrixView<T> zj = (side == PrecondSide::Flexible) ? z.block(0, j * p, n, p) : ztmp.view();
-      detail::apply_preconditioned<T>(a, m, side, vj, zj, w.view(), st, trace, rz);
+      ctx.apply_preconditioned(vj, zj, w.view());
       if (kp > 0) {
         // Project against the recycled space: E_j = C^H w, w -= C E_j
         // (one additional reduction per iteration — the 2(m-k) vs m count
         // of section III-D).
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
         gemm<T>(Trans::C, Trans::N, T(1), c, w.view(), T(0), ecol.view(), ex);
-        detail::count_reductions(st, comm, trace, 1, kp * p * 8);
+        ctx.reduce(1, kp * p * 8);
         gemm<T>(Trans::N, Trans::N, T(-1), c, ecol.view(), T(1), w.view(), ex);
         copy_into<T>(ecol.view(), e.block(0, j * p, kp, p));
       }
       hcol.set_zero();
-      detail::project<T>(v.view(), (j + 1) * p, w.view(), hcol.view(), opts.ortho, p, st, comm,
-                         ws, trace, ex);
+      ctx.project(v.view(), (j + 1) * p, w.view(), hcol.view(), p);
       auto vnext = v.block(0, (j + 1) * p, n, p);
       copy_into<T>(w.view(), vnext);
-      rz->prior = MatrixView<const T>(v.data(), n, (j + 1) * p, v.ld());
-      rz->iteration = st.iterations;
-      const bool full_rank = detail::qr_block<T>(vnext, sblock.view(), st, comm, trace, ex, rz);
+      ctx.rz.prior = MatrixView<const T>(v.data(), n, (j + 1) * p, v.ld());
+      ctx.rz.iteration = st.iterations;
+      const bool full_rank = ctx.qr_block(vnext, sblock.view());
       for (index_t cc = 0; cc < p; ++cc)
         for (index_t rr = 0; rr <= cc; ++rr) hcol((j + 1) * p + rr, cc) = sblock(rr, cc);
       // Commit the Hessenberg columns even on a (happy) breakdown — the
@@ -193,23 +191,6 @@ bool all_zero(MatrixView<const T> y) {
   return true;
 }
 
-// Harmonic Ritz deflation after the first (unprojected) cycle: the k
-// smallest harmonic Ritz pairs of the Hessenberg, via the generalized
-// form (R^H R) z = theta H_m^H z assembled from the incremental QR
-// (fig. 1 line 16 / the paper's eq. 2 reformulation). Restart-only work.
-template <class T>
-BKR_COLD DenseMatrix<T> first_cycle_deflation_vectors(const ArnoldiCycle<T>& cycle, index_t s,
-                                                      index_t k) {
-  DenseMatrix<T> r = cycle.qr.r_matrix();  // steps*p square
-  DenseMatrix<T> t(s, s);
-  gemm<T>(Trans::C, Trans::N, T(1), MatrixView<const T>(r.data(), s, s, r.ld()),
-          MatrixView<const T>(r.data(), s, s, r.ld()), T(0), t.view());
-  DenseMatrix<T> w(s, s);
-  for (index_t j = 0; j < s; ++j)
-    for (index_t i = 0; i < s; ++i) w(i, j) = conj(cycle.hbar(j, i));  // H_m^H
-  return smallest_gen_eig_vectors<T>(t, w, k);
-}
-
 }  // namespace
 
 template <class T>
@@ -217,39 +198,25 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
                             MatrixView<const T> b, MatrixView<T> x, CommModel* comm,
                             bool new_matrix) {
   using Real = real_t<T>;
-  detail::check_solve_entry<T>(a, m, b, x, opts_);
   const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts_.trace;
-  const KernelExecutor* const ex = opts_.exec;
-  PrecondSide side = (m == nullptr) ? PrecondSide::None : opts_.side;
-  if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
   const index_t mdim = opts_.restart;
-  if (opts_.recycle < 0) throw std::invalid_argument("GcroDr: opts.recycle must be >= 0");
+  if (opts_.recycle < 0) throw std::invalid_argument("GcroDr: opts.recycle (k) must be >= 0");
   // k = 0 is (block) GMRES(m): every recycle step below is skipped.
   const index_t k = std::min(opts_.recycle, mdim - 1);
   const index_t kp = k * p;
   const bool matrix_changed = (solves_ == 0) || (new_matrix && !opts_.same_system);
   ++solves_;
 
-  auto body = [&](SolveStats& st, SolverWorkspace<T>& ws) {
-  detail::Resilience<T> rz{opts_.recovery, opts_.fault};
+  auto body = [&](detail::SolveContext<T>& ctx) {
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
+  const PrecondSide side = ctx.side;
+  SolverWorkspace<T>& ws = ctx.ws;
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
   DenseMatrix<T> scratch;
-  if (side == PrecondSide::Left) {
-    scratch.resize(n, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(b, scratch.view());
-      ++st.precond_applies;
-    }
-    detail::norms<T>(scratch.view(), bnorm.data(), st, comm, trace, ex, opts_.shards);
-  } else {
-    detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts_.shards);
-  }
-  for (auto& v : bnorm)
-    if (v == Real(0)) v = Real(1);
-  if (!detail::finite_norms(bnorm.data(), p)) {
+  if (!ctx.rhs_norms(b, bnorm.data(), scratch)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
   }
@@ -257,8 +224,8 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p);
-  detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+  ctx.residual(b, x, r.view(), scratch);
+  ctx.norms(r.view(), rnorm.data());
   if (opts_.record_history)
     for (index_t c = 0; c < p; ++c)
       st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
@@ -279,81 +246,30 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   DenseMatrix<T> ztmp(n, p);
   ArnoldiCycle<T> cycle;
 
-  // Apply the (possibly preconditioned) operator to a block (used for the
-  // distributed QR of op(U), fig. 1 lines 4-6).
-  auto apply_op = [&](MatrixView<const T> in, MatrixView<T> out) {
-    if (side == PrecondSide::Right) {
-      DenseMatrix<T> tmp(n, in.cols());
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::Precond);
-        m->apply(in, tmp.view());
-        ++st.precond_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, tmp.view());
-      }
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(tmp.view(), out);
-      ++st.operator_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, out);
-    } else if (side == PrecondSide::Left) {
-      DenseMatrix<T> tmp(n, in.cols());
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-        a.apply(in, tmp.view());
-        ++st.operator_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, tmp.view());
-      }
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(tmp.view(), out);
-      ++st.precond_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, out);
-    } else {  // None, Flexible: U lives in solution space, apply A directly
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(in, out);
-      ++st.operator_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, out);
-    }
-  };
-  // Add a solution update that lives in Krylov space (Right needs one
-  // M^{-1}; everything else is direct — for Flexible both the basis part
-  // and U Y_k already live in solution space).
-  auto add_update = [&](MatrixView<const T> t) {
-    if (side == PrecondSide::Right) {
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::Precond);
-        m->apply(t, ztmp.view());
-        ++st.precond_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, ztmp.view());
-      }
-      for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), ztmp.col(c), x.col(c));
-    } else {
-      for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), t.col(c), x.col(c));
-    }
-  };
-
   if (kp > 0 && u_.cols() > 0) {
     if (matrix_changed) {
       // Lines 4-6: [Q, R] = distributed_qr(op(U)); C = Q; U = U R^{-1}.
+      // U lives in solution space, so a flexible solve applies A alone.
       c_.resize(n, u_.cols());
-      apply_op(u_.view(), c_.view());
+      DenseMatrix<T> tmp(n, u_.cols());
+      ctx.apply_preconditioned(u_.view(), tmp.view(), c_.view(),
+                               side == PrecondSide::Flexible ? PrecondSide::None : side);
       DenseMatrix<T> rq(u_.cols(), u_.cols());
       // A rank-deficient recycled space only degrades the deflation; the
       // subsequent trsm keeps U consistent with whatever rank survived.
-      detail::qr_block<T>(c_.view(), rq.view(), st, comm, trace, ex);  // bkr-lint: allow(unchecked-factor)
+      ctx.qr_block(c_.view(), rq.view(), false);  // bkr-lint: allow(unchecked-factor)
       trsm_right_upper<T>(rq.view(), u_.view(), ex);
     }
     // Lines 8-9: X += U C^H R, R -= C C^H R (one fused reduction).
     DenseMatrix<T> y0(u_.cols(), p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    ctx.reduction({u_.cols() * p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), y0.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(u_.cols() * p * 8);
-    }
+    });
     DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
     gemm<T>(Trans::N, Trans::N, T(1), u_.view(), y0.view(), T(0), t.view(), ex);
-    add_update(t.view());
+    ctx.update(x, t.view(), ztmp.view());
     gemm<T>(Trans::N, Trans::N, T(-1), c_.view(), y0.view(), T(1), r.view(), ex);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       return;
@@ -380,15 +296,14 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     DenseMatrix<T>* yc = nullptr;
     if (kcur > 0) {
       yc = &ws.mat(kWsYc, kcur, p);
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), yc->view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(kcur * p * 8);
+      ctx.reduction({kcur * p * 8}, [&] {
+        gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), yc->view(), ex);
+      });
     }
 
-    const index_t s = cycle.run(a, m, side, r.view(),
+    const index_t s = cycle.run(ctx, r.view(),
                                 kcur > 0 ? MatrixView<const T>(c_.view()) : MatrixView<const T>(),
-                                kcur > 0 ? mdim - k : mdim, opts_, bnorm, st, comm, trace, &rz, ws);
+                                kcur > 0 ? mdim - k : mdim, bnorm);
     if (cycle.fatal) {
       // The least squares over a poisoned Hessenberg would corrupt x;
       // leave the iterate as it was.
@@ -418,7 +333,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
           gemm<T>(Trans::N, Trans::N, T(1), u_.view(), yc->view(), T(1), t.view(), ex);
         }
       }
-      add_update(t.view());
+      ctx.update(x, t.view(), ztmp.view());
       if (null_update && !cycle.hit_tolerance && side != PrecondSide::Flexible && !seed &&
           !refresh) {
         // An exactly zero update leaves x and the recycled space as they
@@ -432,24 +347,8 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     if (seed && s > 0) {
       // Harmonic Ritz deflation seeds U_k, C_k (lines 16-20).
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
-      const index_t k_eff = std::min(kp, s);
-      DenseMatrix<T> pk;
-      try {
-        pk = first_cycle_deflation_vectors<T>(cycle, s, k_eff);
-      } catch (const EigFailure&) {
-        // Harmonic Ritz extraction failed (QR iteration non-convergence
-        // or a singular pencil): seed the recycle space with the leading
-        // Krylov directions instead of aborting the solve — unless the
-        // policy demands a hard failure.
-        if (!opts_.recovery.shrink_recycle)
-          throw BreakdownError(SolveStatus::EigSolveFailure,
-                               "gcrodr: harmonic Ritz extraction failed");
-        pk.resize(s, k_eff);
-        for (index_t j = 0; j < k_eff; ++j) pk(j, j) = T(1);
-        ++st.recoveries;
-        if (trace != nullptr)
-          trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", k_eff});
-      }
+      const DenseMatrix<T> pk = ctx.harmonic_ritz_vectors(cycle.qr, cycle.hbar, s, std::min(kp, s));
+      const index_t k_eff = pk.cols();
       // [Q, R] = qr(Hbar * Pk); C = V_{m+1} Q; U = basis * Pk * R^{-1}.
       DenseMatrix<T> hp((cycle.steps + 1) * p, k_eff);
       gemm<T>(Trans::N, Trans::N, T(1),
@@ -471,8 +370,8 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     // the solve either way, so it skips the extra operator apply (a
     // GmresSmoother with s steps costs s + 1 applies, not s + 2).
     if (st.iterations < opts_.max_iterations || cycle.hit_tolerance) {
-      detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-      detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+      ctx.residual(b, x, r.view(), scratch);
+      ctx.norms(r.view(), rnorm.data());
       if (!detail::finite_norms(rnorm.data(), p)) {
         st.status = SolveStatus::NonFiniteResidual;
         break;
@@ -497,7 +396,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       // The norms run before the RestartEig scope opens so phase scopes
       // stay non-nested.
       std::vector<Real> unorm(static_cast<size_t>(kcur));
-      detail::norms<T>(u_.view(), unorm.data(), st, comm, trace, ex, opts_.shards);
+      ctx.norms(u_.view(), unorm.data());
       obs::ScopedPhase sp_eig(trace, obs::Phase::RestartEig);
       for (index_t c = 0; c < kcur; ++c) {
         const T inv = scalar_traits<T>::from_real(Real(1) / std::max(unorm[size_t(c)], Real(1e-300)));
@@ -530,33 +429,17 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
         gemm<T>(Trans::C, Trans::N, T(1),
                 MatrixView<const T>(cycle.v.data(), n, vcols, cycle.v.ld()), u_.view(), T(0),
                 cu.block(kcur, 0, vcols, kcur), ex);
-        st.reductions += 1;
-        if (comm != nullptr) comm->reduction(rows * kcur * 8);
         // Count-only: the time already lands in the enclosing RestartEig.
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
+        ctx.reduce(1, rows * kcur * 8);
         copy_into<T>(MatrixView<const T>(cu.data(), rows, kcur, cu.ld()),
                      inner_mat.block(0, 0, rows, kcur));
         for (index_t j = 0; j < s; ++j) inner_mat(kcur + j, kcur + j) = T(1);
         gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner_mat.view(), T(0), wmat.view());
       }
-      DenseMatrix<T> pk;
-      try {
-        pk = smallest_gen_eig_vectors<T>(tmat, wmat, std::min(kp, cols));
-      } catch (const EigFailure&) {
-        // Deflation pencil failed to converge: fall back to retaining the
-        // leading columns of [U, basis] (still re-orthonormalized below)
-        // rather than crashing a solve that is otherwise progressing —
-        // unless the policy demands a hard failure.
-        if (!opts_.recovery.shrink_recycle)
-          throw BreakdownError(SolveStatus::EigSolveFailure,
-                               "gcrodr: deflation pencil eigensolve failed");
-        const index_t kfall = std::min(kp, cols);
-        pk.resize(cols, kfall);
-        for (index_t j = 0; j < kfall; ++j) pk(j, j) = T(1);
-        ++st.recoveries;
-        if (trace != nullptr)
-          trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", kfall});
-      }
+      // A failed pencil keeps the leading columns of [U, basis], still
+      // re-orthonormalized below.
+      const DenseMatrix<T> pk = ctx.deflation_vectors(tmat, wmat, std::min(kp, cols),
+                                                      "deflation pencil eigensolve failed");
       const index_t knew = pk.cols();
       // [Q, R] = qr(G Pk); C = [C V] Q; U = [U basis] Pk R^{-1}.
       DenseMatrix<T> gp(rows, knew);
@@ -581,11 +464,11 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     }
   }
   };
-  return detail::run_solver_ws<T>(method_, n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
-                                    body(st, ws);
-                                    detail::final_residual_check<T>(a, b, x, opts_, st, comm);
-                                  });
+  return detail::run_solve<T>(method_, a, m, b, x, opts_, comm,
+                              [&](detail::SolveContext<T>& ctx) {
+                                body(ctx);
+                                ctx.true_residual_check(b, x);
+                              });
 }
 
 template <class T>

@@ -16,35 +16,21 @@ enum : int { kWsCycleQr = kWsSolverBase };  // qrs_
 enum : int { kWsSmallY = kWsSolverBase };   // vecs_
 
 template <class T>
-void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::vector<T>& b,
-                 std::vector<T>& x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
-                 SolverWorkspace<T>& ws) {
+void lgmres_body(detail::SolveContext<T>& ctx, MatrixView<const T> bview, MatrixView<T> xview) {
   using Real = real_t<T>;
-  const index_t n = a.n();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  PrecondSide side = (m == nullptr) ? PrecondSide::None : opts.side;
-  if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
+  const SolverOptions& opts = ctx.opts;
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
+  const PrecondSide side = ctx.side;
+  SolverWorkspace<T>& ws = ctx.ws;
+  const index_t n = bview.rows();
   const index_t total = opts.restart;              // total space per cycle
   const index_t aug_max = std::min(opts.recycle, total - 1);
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
 
   Real bnorm;
   DenseMatrix<T> scratch;
-  const auto bview = MatrixView<const T>(b.data(), n, 1, n);
-  if (side == PrecondSide::Left) {
-    scratch.resize(n, 1);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(bview, scratch.view());
-      ++st.precond_applies;
-    }
-    detail::norms<T>(scratch.view(), &bnorm, st, comm, trace, ex, opts.shards);
-  } else {
-    detail::norms<T>(bview, &bnorm, st, comm, trace, ex, opts.shards);
-  }
-  if (bnorm == Real(0)) bnorm = Real(1);
-  if (!detail::finite_norms(&bnorm, 1)) {
+  if (!ctx.rhs_norms(bview, &bnorm, scratch)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
   }
@@ -56,7 +42,6 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
   if (side == PrecondSide::Flexible) zflex.resize(n, total);
   DenseMatrix<T> ztmp(n, 1), w(n, 1), r(n, 1);
   std::deque<std::vector<T>> augmented;  // error approximations, newest first
-  auto xview = MatrixView<T>(x.data(), n, 1, n);
   // Cycle-lifetime scratch hoisted out of the restart loop; `dx` is donated
   // into `augmented` each cycle and its storage recycled from the evicted
   // augmentation vector once the deque is full.
@@ -69,9 +54,9 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
 
   while (st.iterations < opts.max_iterations) {
     ++st.cycles;
-    detail::residual<T>(a, m, side, bview, xview, r.view(), scratch, st, trace, &rz);
+    ctx.residual(bview, xview, r.view(), scratch);
     Real rnorm;
-    detail::norms<T>(r.view(), &rnorm, st, comm, trace, ex, opts.shards);
+    ctx.norms(r.view(), &rnorm);
     if (st.cycles == 1 && opts.record_history) st.history[0].push_back(rnorm / bnorm);
     if (!detail::finite_norms(&rnorm, 1)) {
       st.status = SolveStatus::NonFiniteResidual;
@@ -88,8 +73,7 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
     ghat.assign(static_cast<size_t>(total) + 1, T(0));
     ghat[0] = scalar_traits<T>::from_real(rnorm);
     const T inv = scalar_traits<T>::from_real(Real(1) / rnorm);
-    for (index_t i = 0; i < n; ++i) v(i, 0) = r(i, 0) * inv;
-    st.reductions += 0;  // the residual norm above doubles as the QR
+    for (index_t i = 0; i < n; ++i) v(i, 0) = r(i, 0) * inv;  // the norm doubles as the QR
     if (opts.record_history)
       st.history[0].reserve(st.history[0].size() + static_cast<size_t>(total));
 
@@ -109,38 +93,23 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
                  : MatrixView<const T>(v.col(j), n, 1, v.ld());
       MatrixView<T> zj = (side == PrecondSide::Flexible) ? zflex.block(0, j, n, 1) : ztmp.view();
       if (is_aug) {
-        // Augmentation vectors live in solution space: w = A z directly.
-        {
-          obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-          a.apply(input, w.view());
-          ++st.operator_applies;
-          detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, w.view());
-        }
-        if (side == PrecondSide::Left) {
-          obs::ScopedPhase sp(trace, obs::Phase::Precond);
-          copy_into<T>(MatrixView<const T>(w.data(), n, 1, n), ztmp.view());
-          m->apply(ztmp.view(), w.view());
-          ++st.precond_applies;
-          detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, w.view());
-        }
+        // Augmentation vectors live in solution space: w = A z directly
+        // (then M^{-1} under Left).
+        ctx.apply_preconditioned(input, ztmp.view(), w.view(),
+                                 side == PrecondSide::Left ? side : PrecondSide::None);
       } else {
-        detail::apply_preconditioned<T>(a, m, side, input, zj, w.view(), st, trace, &rz);
+        ctx.apply_preconditioned(input, zj, w.view());
       }
       std::fill(hcol.begin(), hcol.end(), T(0));
-      detail::project<T>(v.view(), j + 1,
-                         MatrixView<T>(w.data(), n, 1, n),
-                         MatrixView<T>(hcol.data(), index_t(hcol.size()), 1,
-                                       index_t(hcol.size())),
-                         opts.ortho, 1, st, comm, ws, trace, ex);
+      ctx.project(v.view(), j + 1, MatrixView<T>(w.data(), n, 1, n),
+                  MatrixView<T>(hcol.data(), index_t(hcol.size()), 1, index_t(hcol.size())), 1);
       Real hn;
       {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-        detail::fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
+        ctx.hook(resilience::FaultSite::Orthogonalization, w.view());
         hn = norm2<T>(n, w.col(0), ex);
         hcol[size_t(j) + 1] = scalar_traits<T>::from_real(hn);
-        st.reductions += 1;
-        if (comm != nullptr) comm->reduction(8);
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
+        ctx.reduce(1, 8);
         if (hn > Real(0)) {
           const T hinv = scalar_traits<T>::from_real(Real(1) / hn);
           for (index_t i = 0; i < n; ++i) v(i, j + 1) = w(i, 0) * hinv;
@@ -218,25 +187,14 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
       }
     }
     dx.assign(static_cast<size_t>(n), T(0));
-    if (side == PrecondSide::Right) {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(t.view(), ztmp.view());
-      ++st.precond_applies;
-      for (index_t i = 0; i < n; ++i) dx[size_t(i)] = ztmp(i, 0);
-    } else {
-      for (index_t i = 0; i < n; ++i) dx[size_t(i)] = t(i, 0);
-    }
+    const auto tz = ctx.solution_update(t.view(), ztmp.view());
+    for (index_t i = 0; i < n; ++i) dx[size_t(i)] = tz(i, 0);
     for (index_t i = jk; i < j; ++i)
       axpy<T>(n, y[size_t(i)], augmented[size_t(i - jk)].data(), dx.data());
-    for (index_t i = 0; i < n; ++i) x[size_t(i)] += dx[size_t(i)];
+    for (index_t i = 0; i < n; ++i) xview(i, 0) += dx[size_t(i)];
     // Record the error approximation (normalized), newest first.
     Real dxn;
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      dxn = norm2<T>(n, dx.data(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(8);
-    }
+    ctx.reduction({8}, [&] { dxn = norm2<T>(n, dx.data(), ex); });
     if (dxn > Real(0)) {
       const T dinv = scalar_traits<T>::from_real(Real(1) / dxn);
       for (auto& val : dx) val *= dinv;
@@ -259,15 +217,13 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
 template <class T>
 SolveStats lgmres(const LinearOperator<T>& a, Preconditioner<T>* m, const std::vector<T>& b,
                   std::vector<T>& x, const SolverOptions& opts, CommModel* comm) {
-  detail::check_solve_entry<T>(
-      a, m, MatrixView<const T>(b.data(), index_t(b.size()), 1, index_t(b.size())),
-      MatrixView<T>(x.data(), index_t(x.size()), 1, index_t(x.size())), opts);
-  return detail::run_solver_ws<T>(
-      "lgmres", a.n(), 1, opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
-        lgmres_body<T>(a, m, b, x, opts, comm, st, ws);
-        detail::final_residual_check<T>(a, MatrixView<const T>(b.data(), a.n(), 1, a.n()),
-                                        MatrixView<T>(x.data(), a.n(), 1, a.n()), opts, st, comm);
-      });
+  const auto bv = MatrixView<const T>(b.data(), index_t(b.size()), 1, index_t(b.size()));
+  const auto xv = MatrixView<T>(x.data(), index_t(x.size()), 1, index_t(x.size()));
+  return detail::run_solve<T>("lgmres", a, m, bv, xv, opts, comm,
+                              [&](detail::SolveContext<T>& ctx) {
+                                lgmres_body<T>(ctx, bv, xv);
+                                ctx.true_residual_check(bv, xv);
+                              });
 }
 
 template SolveStats lgmres<double>(const LinearOperator<double>&, Preconditioner<double>*,

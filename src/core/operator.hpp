@@ -11,7 +11,6 @@
 #include "parallel/comm_model.hpp"
 #include "resilience/fault_injector.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/mixed.hpp"
 #include "sparse/sharded.hpp"
 
 namespace bkr {
@@ -84,46 +83,6 @@ class ShardedOperator final : public LinearOperator<T> {
 
  private:
   ShardedCsrOperator<T> shop_;
-  CommModel* comm_;
-  const KernelExecutor* exec_;
-};
-
-// Mixed-precision pilot operator (DESIGN.md §14, ROADMAP item 3): the
-// inner-iteration apply streams an fp32-storage mirror of the matrix
-// (sparse/mixed.hpp) while the fp64 original stays available through
-// apply_full for residual replacement and the final true-residual check.
-// Solvers detect the reduced-precision apply by dynamic_cast when
-// SolverOptions::mixed_precision is set; with the flag off, handing this
-// operator to a solver is valid but converges only to the fp32-limited
-// accuracy of the mirror. The tolerance oracle for this component is
-// tests/test_mixed.cpp (BKR_TOLERANCE_ORACLE(MixedPrecisionOperator)).
-template <class T>
-class MixedPrecisionOperator final : public LinearOperator<T> {
- public:
-  explicit MixedPrecisionOperator(const CsrMatrix<T>& a, CommModel* comm = nullptr,
-                                  const KernelExecutor* exec = nullptr)
-      : a_(&a), low_(a), comm_(comm), exec_(exec) {}
-
-  [[nodiscard]] index_t n() const override { return a_->rows(); }
-  // Inner apply: fp32 value stream, fp64 accumulation. The halo traffic
-  // model charges half the fp64 bytes — the value stream is what a
-  // distributed mixed-precision SpMM ships.
-  BKR_PRECISION_BOUNDARY void apply(MatrixView<const T> x, MatrixView<T> y) const override {
-    low_.spmm(x, y, exec_);
-    if (comm_ != nullptr) comm_->halo_exchange(x.cols() * 4);
-  }
-  // Full-precision apply: residual replacement and the convergence
-  // epilogue must measure against A, not its fp32 mirror.
-  void apply_full(MatrixView<const T> x, MatrixView<T> y) const {
-    a_->spmm(x, y, exec_);
-    if (comm_ != nullptr) comm_->halo_exchange(x.cols() * 8);
-  }
-  [[nodiscard]] const CsrMatrix<T>& matrix() const { return *a_; }
-  [[nodiscard]] const MixedCsr<T>& mirror() const { return low_; }
-
- private:
-  const CsrMatrix<T>* a_;
-  MixedCsr<T> low_;
   CommModel* comm_;
   const KernelExecutor* exec_;
 };

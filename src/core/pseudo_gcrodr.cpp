@@ -9,7 +9,6 @@
 
 #include "core/gcrodr.hpp"
 #include "core/krylov_detail.hpp"
-#include "la/eig.hpp"
 
 namespace bkr {
 
@@ -68,13 +67,12 @@ struct Lane {
 // plain Hessenberg) from later cycles (generalized pencil with the
 // coupling block E and the scaled U).
 template <class T>
-BKR_COLD void refresh_lane_recycle(Lane<T>& lane, index_t n, index_t k, index_t s,
-                                   PrecondSide side, RecycleStrategy strategy,
-                                   bool with_projection, const KernelExecutor* ex,
-                                   const RecoveryPolicy& policy, SolveStats& st,
-                                   obs::TraceSink* trace) {
+BKR_COLD void refresh_lane_recycle(detail::SolveContext<T>& ctx, Lane<T>& lane, index_t k,
+                                   index_t s, bool with_projection) {
   using Real = real_t<T>;
   if (s <= 0) return;
+  const index_t n = ctx.a.n();
+  const KernelExecutor* const ex = ctx.ex;
   const index_t vcols = lane.steps + 1;
   const index_t kcur = with_projection ? lane.u.cols() : 0;
   const index_t rows = kcur + vcols;
@@ -98,34 +96,12 @@ BKR_COLD void refresh_lane_recycle(Lane<T>& lane, index_t n, index_t k, index_t 
   DenseMatrix<T> pk;
   const index_t knew = std::min(k, cols);
   if (!with_projection) {
-    // Harmonic Ritz: (R^H R) z = theta Hm^H z.
-    const DenseMatrix<T> r = lane.qr.r_matrix();
-    DenseMatrix<T> tmat(s, s);
-    gemm<T>(Trans::C, Trans::N, T(1), MatrixView<const T>(r.data(), s, s, r.ld()),
-            MatrixView<const T>(r.data(), s, s, r.ld()), T(0), tmat.view());
-    DenseMatrix<T> wmat(s, s);
-    for (index_t j = 0; j < s; ++j)
-      for (index_t i = 0; i < s; ++i) wmat(i, j) = conj(lane.hbar(j, i));
-    try {
-      pk = smallest_gen_eig_vectors<T>(tmat, wmat, knew);
-    } catch (const EigFailure&) {
-      // Harmonic Ritz extraction failed: seed with leading Krylov
-      // directions (see the block GCRO-DR fallback) — unless the policy
-      // demands a hard failure.
-      if (!policy.shrink_recycle)
-        throw BreakdownError(SolveStatus::EigSolveFailure,
-                             "pseudo_gcrodr: harmonic Ritz extraction failed");
-      pk.resize(s, knew);
-      for (index_t j = 0; j < knew; ++j) pk(j, j) = T(1);
-      ++st.recoveries;
-      if (trace != nullptr)
-        trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", knew});
-    }
+    pk = ctx.harmonic_ritz_vectors(lane.qr, lane.hbar, s, knew);
   } else {
     DenseMatrix<T> tmat(cols, cols);
     gemm<T>(Trans::C, Trans::N, T(1), g.view(), g.view(), T(0), tmat.view());
     DenseMatrix<T> wmat(cols, cols);
-    if (strategy == RecycleStrategy::B) {
+    if (ctx.opts.strategy == RecycleStrategy::B) {
       for (index_t j = 0; j < cols; ++j)
         for (index_t i = 0; i < cols; ++i) wmat(i, j) = conj(g(j, i));
     } else {
@@ -140,21 +116,9 @@ BKR_COLD void refresh_lane_recycle(Lane<T>& lane, index_t n, index_t k, index_t 
       for (index_t j = 0; j < s; ++j) inner_mat(kcur + j, kcur + j) = T(1);
       gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner_mat.view(), T(0), wmat.view());
     }
-    try {
-      pk = smallest_gen_eig_vectors<T>(tmat, wmat, knew);
-    } catch (const EigFailure&) {
-      // Deflation pencil failed: keep the leading columns of [U, basis],
-      // re-orthonormalized below — unless the policy demands a hard
-      // failure.
-      if (!policy.shrink_recycle)
-        throw BreakdownError(SolveStatus::EigSolveFailure,
-                             "pseudo_gcrodr: deflation pencil eigensolve failed");
-      pk.resize(cols, knew);
-      for (index_t j = 0; j < knew; ++j) pk(j, j) = T(1);
-      ++st.recoveries;
-      if (trace != nullptr)
-        trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", knew});
-    }
+    // A failed pencil keeps the leading columns of [U, basis],
+    // re-orthonormalized below.
+    pk = ctx.deflation_vectors(tmat, wmat, knew, "deflation pencil eigensolve failed");
   }
   // [Q, R] = qr(G Pk); C = [C V] Q; U = [U basis] Pk R^{-1}.
   DenseMatrix<T> gp(rows, knew);
@@ -170,9 +134,8 @@ BKR_COLD void refresh_lane_recycle(Lane<T>& lane, index_t n, index_t k, index_t 
   gemm<T>(Trans::N, Trans::N, T(1), cv.view(), q.view(), T(0), cnew.view(), ex);
   DenseMatrix<T> ub(n, cols);
   if (kcur > 0) copy_into<T>(lane.u.view(), ub.block(0, 0, n, kcur));
-  copy_into<T>(MatrixView<const T>(lane.update_basis(side).data(), n, s,
-                                   lane.update_basis(side).ld()),
-               ub.block(0, kcur, n, s));
+  const DenseMatrix<T>& basis = lane.update_basis(ctx.side);
+  copy_into<T>(MatrixView<const T>(basis.data(), n, s, basis.ld()), ub.block(0, kcur, n, s));
   DenseMatrix<T> unew(n, knew);
   gemm<T>(Trans::N, Trans::N, T(1), ub.view(), pk.view(), T(0), unew.view(), ex);
   trsm_right_upper<T>(rq.view(), unew.view(), ex);
@@ -187,29 +150,22 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
                                   MatrixView<const T> b, MatrixView<T> x, CommModel* comm,
                                   bool new_matrix) {
   using Real = real_t<T>;
-  detail::check_solve_entry<T>(a, m, b, x, opts_);
   const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts_.trace;
-  const KernelExecutor* const ex = opts_.exec;
-  PrecondSide side = (m == nullptr) ? PrecondSide::None : opts_.side;
-  if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
   const index_t mdim = opts_.restart;
-  if (opts_.recycle < 0) throw std::invalid_argument("PseudoGcroDr: opts.recycle must be >= 0");
+  if (opts_.recycle < 0)
+    throw std::invalid_argument("PseudoGcroDr: opts.recycle (k) must be >= 0");
   // k = 0 is pseudo-block GMRES(m): every recycle step below is skipped.
   const index_t k = std::min(opts_.recycle, mdim - 1);
   const bool matrix_changed = (solves_ == 0) || (new_matrix && !opts_.same_system);
   const bool had_recycle = k > 0 && u_.cols() > 0 && lanes_ == p;
   ++solves_;
 
-  auto body = [&](SolveStats& st, SolverWorkspace<T>& ws) {
-  detail::Resilience<T> rz{opts_.recovery, opts_.fault};
-  // Reduction accounting where one fused batch is ONE comm-model
-  // all-reduce but `count` paper-count synchronizations (MGS).
-  auto note_reductions = [&](std::int64_t count, std::int64_t bytes) {
-    st.reductions += count;
-    if (comm != nullptr) comm->reduction(bytes);
-    if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, count);
-  };
+  auto body = [&](detail::SolveContext<T>& ctx) {
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
+  const PrecondSide side = ctx.side;
+  SolverWorkspace<T>& ws = ctx.ws;
 
   std::vector<Lane<T>> lanes(static_cast<size_t>(p));
   if (had_recycle) {
@@ -225,20 +181,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
 
   DenseMatrix<T> scratch;
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  if (side == PrecondSide::Left) {
-    scratch.resize(n, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(b, scratch.view());
-      ++st.precond_applies;
-    }
-    detail::norms<T>(scratch.view(), bnorm.data(), st, comm, trace, ex, opts_.shards);
-  } else {
-    detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts_.shards);
-  }
-  for (auto& v : bnorm)
-    if (v == Real(0)) v = Real(1);
-  if (!detail::finite_norms(bnorm.data(), p)) {
+  if (!ctx.rhs_norms(b, bnorm.data(), scratch)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
   }
@@ -246,8 +189,8 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p), w(n, p), ztmp(n, p);
-  detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+  ctx.residual(b, x, r.view(), scratch);
+  ctx.norms(r.view(), rnorm.data());
   for (index_t l = 0; l < p; ++l) {
     lanes[size_t(l)].bnorm = bnorm[size_t(l)];
     lanes[size_t(l)].rnorm = rnorm[size_t(l)];
@@ -272,39 +215,13 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       DenseMatrix<T> uall(n, k * p), wall(n, k * p);
       for (index_t l = 0; l < p; ++l)
         copy_into<T>(lanes[size_t(l)].u.view(), uall.block(0, l * k, n, k));
-      if (side == PrecondSide::Right) {
-        DenseMatrix<T> tmp(n, k * p);
-        {
-          obs::ScopedPhase sp(trace, obs::Phase::Precond);
-          m->apply(uall.view(), tmp.view());
-          ++st.precond_applies;
-          detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, tmp.view());
-        }
-        obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-        a.apply(tmp.view(), wall.view());
-        ++st.operator_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, wall.view());
-      } else if (side == PrecondSide::Left) {
-        DenseMatrix<T> tmp(n, k * p);
-        {
-          obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-          a.apply(uall.view(), tmp.view());
-          ++st.operator_applies;
-          detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, tmp.view());
-        }
-        obs::ScopedPhase sp(trace, obs::Phase::Precond);
-        m->apply(tmp.view(), wall.view());
-        ++st.precond_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, wall.view());
-      } else {
-        obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-        a.apply(uall.view(), wall.view());
-        ++st.operator_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, wall.view());
-      }
+      // U lives in solution space, so a flexible solve applies A alone.
+      DenseMatrix<T> tmp(n, k * p);
+      ctx.apply_preconditioned(uall.view(), tmp.view(), wall.view(),
+                               side == PrecondSide::Flexible ? PrecondSide::None : side);
       // Per-lane CholQR of its k columns (one fused reduction).
       obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-      note_reductions(1, p * k * k * 8);
+      ctx.reduce(1, p * k * k * 8);
       for (index_t l = 0; l < p; ++l) {
         auto wl = wall.block(0, l * k, n, k);
         DenseMatrix<T> rq(k, k);
@@ -316,10 +233,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     // X += U C^H r; r -= C C^H r (fused dots: one reduction).
     DenseMatrix<T> t(n, p);
     t.set_zero();
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * k * 8);
+    ctx.reduction({p * k * 8}, [&] {
       for (index_t l = 0; l < p; ++l) {
         auto& lane = lanes[size_t(l)];
         if (lane.converged) continue;
@@ -330,20 +244,10 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
           axpy<T>(n, -y0[size_t(i)], lane.c.col(i), r.col(l));
         }
       }
-    }
-    if (side == PrecondSide::Right) {
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::Precond);
-        m->apply(t.view(), ztmp.view());
-        ++st.precond_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, ztmp.view());
-      }
-      for (index_t l = 0; l < p; ++l) axpy<T>(n, T(1), ztmp.col(l), x.col(l));
-    } else {
-      for (index_t l = 0; l < p; ++l) axpy<T>(n, T(1), t.col(l), x.col(l));
-    }
+    });
+    ctx.update(x, t.view(), ztmp.view());
     // The projection changed the residual: refresh norms and flags.
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       return;
@@ -380,16 +284,15 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       lane.ghat[0] = scalar_traits<T>::from_real(beta);
     }
     if (seeded) {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      for (index_t l = 0; l < p; ++l) {
-        auto& lane = lanes[size_t(l)];
-        if (!lane.active) continue;
-        lane.yc.assign(static_cast<size_t>(lane.u.cols()), T(0));
-        for (index_t i = 0; i < lane.u.cols(); ++i)
-          lane.yc[size_t(i)] = dot<T>(n, lane.c.col(i), r.col(l), ex);
-      }
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * k * 8);
+      ctx.reduction({p * k * 8}, [&] {
+        for (index_t l = 0; l < p; ++l) {
+          auto& lane = lanes[size_t(l)];
+          if (!lane.active) continue;
+          lane.yc.assign(static_cast<size_t>(lane.u.cols()), T(0));
+          for (index_t i = 0; i < lane.u.cols(); ++i)
+            lane.yc[size_t(i)] = dot<T>(n, lane.c.col(i), r.col(l), ex);
+        }
+      });
     }
     if (opts_.record_history)
       for (index_t l = 0; l < p; ++l)
@@ -406,14 +309,14 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
         if (lanes[size_t(l)].active)
           std::copy(lanes[size_t(l)].v.col(j), lanes[size_t(l)].v.col(j) + n, vin.col(l));
       MatrixView<T> zj = ztmp.view();
-      detail::apply_preconditioned<T>(a, m, side, vin.view(), zj, w.view(), st, trace, &rz);
+      ctx.apply_preconditioned(vin.view(), zj, w.view());
       index_t nactive = 0;
       for (const auto& lane : lanes) nactive += lane.active ? 1 : 0;
       if (nactive == 0) break;
       // Projection against each lane's C (one fused reduction).
       if (seeded) {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        note_reductions(1, nactive * k * 8);
+        ctx.reduce(1, nactive * k * 8);
         for (index_t l = 0; l < p; ++l) {
           auto& lane = lanes[size_t(l)];
           if (!lane.active) continue;
@@ -435,7 +338,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
           if (side == PrecondSide::Flexible) std::copy(zj.col(l), zj.col(l) + n, lane.z.col(j));
           for (index_t i = 0; i <= j; ++i) hcol(i, l) = dot<T>(n, lane.v.col(i), w.col(l), ex);
         }
-        note_reductions((opts_.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
+        ctx.reduce_batched((opts_.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
         for (index_t l = 0; l < p; ++l) {
           auto& lane = lanes[size_t(l)];
           if (!lane.active) continue;
@@ -448,14 +351,14 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
             }
           }
         }
-        if (opts_.ortho == Ortho::Cgs2) note_reductions(1, (j + 1) * nactive * 8);
+        if (opts_.ortho == Ortho::Cgs2) ctx.reduce(1, (j + 1) * nactive * 8);
       }
       // Fused normalization (the per-lane Hessenberg QR updates ride in
       // the same scope; their cost is O(m) per lane).
-      note_reductions(1, nactive * 8);
+      ctx.reduce(1, nactive * 8);
       {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-        detail::fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
+        ctx.hook(resilience::FaultSite::Orthogonalization, w.view());
         for (index_t l = 0; l < p; ++l) {
           auto& lane = lanes[size_t(l)];
           if (!lane.active) continue;
@@ -542,17 +445,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       st.status = SolveStatus::Stagnated;
       break;  // no lane produced a usable direction
     }
-    if (side == PrecondSide::Right) {
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::Precond);
-        m->apply(t.view(), ztmp.view());
-        ++st.precond_applies;
-        detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, ztmp.view());
-      }
-      for (index_t l = 0; l < p; ++l) axpy<T>(n, T(1), ztmp.col(l), x.col(l));
-    } else {
-      for (index_t l = 0; l < p; ++l) axpy<T>(n, T(1), t.col(l), x.col(l));
-    }
+    ctx.update(x, t.view(), ztmp.view());
     bool estimates_converged = true;
     for (const auto& lane : lanes)
       estimates_converged = estimates_converged && lane.rnorm <= opts_.tol * lane.bnorm;
@@ -567,8 +460,8 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     // A cycle that spent the budget without its estimates converging ends
     // the solve either way: skip the true-residual recompute.
     if (st.iterations < opts_.max_iterations || estimates_converged) {
-      detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-      detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+      ctx.residual(b, x, r.view(), scratch);
+      ctx.norms(r.view(), rnorm.data());
       if (!detail::finite_norms(rnorm.data(), p)) {
         // Break before refreshing the recycled spaces so they keep the last
         // consistent state.
@@ -582,23 +475,15 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     }
     if (refresh) {
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
-      if (seeded) {
-        st.reductions += 1;  // fused ||u_i|| scaling norms
-        if (comm != nullptr) comm->reduction(p * k * 8);
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
-      }
+      if (seeded) ctx.reduce(1, p * k * 8);  // fused ||u_i|| scaling norms
       for (index_t l = 0; l < p; ++l) {
         auto& lane = lanes[size_t(l)];
         if (lane.steps == 0) continue;
         const index_t s = detail::usable_columns(lane.qr, lane.steps);
-        refresh_lane_recycle<T>(lane, n, k, s, side, opts_.strategy, seeded, ex, opts_.recovery,
-                                st, trace);
+        refresh_lane_recycle<T>(ctx, lane, k, s, seeded);
       }
-      if (opts_.strategy == RecycleStrategy::A && seeded) {
-        st.reductions += 1;  // [C V]^H U of eq. 3a (fused over lanes)
-        if (comm != nullptr) comm->reduction(p * k * 8);
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
-      }
+      if (opts_.strategy == RecycleStrategy::A && seeded)
+        ctx.reduce(1, p * k * 8);  // [C V]^H U of eq. 3a (fused over lanes)
     }
     seeded = k > 0;
   }
@@ -618,11 +503,11 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   }
   st.converged = all_converged();
   };
-  return detail::run_solver_ws<T>(method_, n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
-                                    body(st, ws);
-                                    detail::final_residual_check<T>(a, b, x, opts_, st, comm);
-                                  });
+  return detail::run_solve<T>(method_, a, m, b, x, opts_, comm,
+                              [&](detail::SolveContext<T>& ctx) {
+                                body(ctx);
+                                ctx.true_residual_check(b, x);
+                              });
 }
 
 template <class T>

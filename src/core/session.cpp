@@ -58,8 +58,7 @@ SolverSession<T>::SolverSession(const CsrMatrix<T>& a, Preconditioner<T>* m, Ses
   BKR_REQUIRE(a.rows() == a.cols() && a.rows() > 0, "rows", a.rows(), "cols", a.cols());
   BKR_REQUIRE(m == nullptr || m->n() == a.rows(), "m.n", m == nullptr ? index_t(0) : m->n(),
               "rows", a.rows());
-  BKR_REQUIRE(!session_method_recycles(cfg_.method) || cfg_.options.recycle > 0, "recycle",
-              cfg_.options.recycle);
+  BKR_REQUIRE(cfg_.options.recycle >= 0, "recycle", cfg_.options.recycle);
   if (cfg_.options.shards > 0) {
     // The sharded operator attaches its shard count to the comm model; a
     // monolithic session clears any count a previous binding left behind.
@@ -71,7 +70,9 @@ SolverSession<T>::SolverSession(const CsrMatrix<T>& a, Preconditioner<T>* m, Ses
   key_.fingerprint = operator_fingerprint(a);
   key_.method = std::uint32_t(cfg_.method);
   key_.scalar = is_complex_v<T> ? 1 : 0;
-  if (cfg_.cache != nullptr && session_method_recycles(cfg_.method)) {
+  // k = 0 runs the recycling engines as GMRES: nothing to warm-start.
+  if (cfg_.cache != nullptr && session_method_recycles(cfg_.method) &&
+      cfg_.options.recycle > 0) {
     RecycleSpace space;
     if (cfg_.cache->fetch(key_, &space, cfg_.options.trace)) {
       DenseMatrix<T> u, c;

@@ -175,22 +175,6 @@ struct SolverOptions {
   // whose fold shape depends on the problem size only — so iteration
   // histories and solutions are bitwise identical at every shard count.
   index_t shards = 0;
-  // Mixed-precision pilot (DESIGN.md §14, ROADMAP item 3). When set, the
-  // solver treats the operator apply as reduced precision (normally a
-  // MixedPrecisionOperator streaming fp32 values): every
-  // `replacement_interval` iterations — and before reporting convergence —
-  // the recursive residual is replaced by the true fp64 residual
-  // b - A x (computed through MixedPrecisionOperator::apply_full when the
-  // operator is one), each replacement is emitted as an
-  // obs::RecoveryEvent{site:"mixed-precision",
-  // action:"residual-replacement"}, and the final true-residual check of
-  // the convergence epilogue is forced on. Off — the default — solves are
-  // bitwise identical to the pre-pilot code paths.
-  bool mixed_precision = false;
-  // Iterations between residual replacements under mixed_precision
-  // (<= 0 disables the periodic replacement; the convergence-time
-  // replacement still runs).
-  index_t replacement_interval = 50;
   // Recovery-escalation policy; the defaults keep fault-free solves
   // bitwise identical to the pre-resilience code paths.
   RecoveryPolicy recovery;

@@ -17,7 +17,7 @@
 // SolverOptions::workspace, so a solve sequence reaches a steady state
 // with zero per-iteration heap allocations (measured by the alloc_churn
 // row of bench_kernels). One-shot entry points get a per-solve fallback
-// inside detail::run_solver_ws — still allocation-free per iteration after
+// inside detail::run_solve — still allocation-free per iteration after
 // the first restart cycle, just not across solves.
 #pragma once
 

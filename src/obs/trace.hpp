@@ -80,7 +80,7 @@ struct CommEvent {
 // the chaos suite can assert exactly which rung fired.
 struct RecoveryEvent {
   index_t iteration = 0;  // global (block) iteration count when it fired
-  std::string site;       // "ortho" | "deflation" | "cycle" | "mixed-precision"
+  std::string site;       // "ortho" | "deflation" | "cycle" | "coarse-space"
   std::string action;     // "replace-columns" | "identity-pk" | "early-restart"
                           // | "residual-replacement"
   index_t columns = 0;    // basis columns affected (0 when not applicable)

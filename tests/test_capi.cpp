@@ -127,6 +127,101 @@ TEST(CApi, GcroDrSequenceRecycles) {
   bkr_matrix_destroy(m);
 }
 
+// The recycle dimension is taken as given: null options mean
+// bkr_options_default (k = 10), k = 0 runs GCRO-DR as GMRES, and a
+// negative k is refused at create.
+TEST(CApi, GcroDrRecycleDimensionIsTakenAsGiven) {
+  const auto a = poisson2d(16, 16);
+  const auto arrays = to_c(a);
+  bkr_matrix* m =
+      bkr_matrix_create(a.rows(), arrays.rowptr.data(), arrays.colind.data(), arrays.values.data());
+  ASSERT_NE(m, nullptr);
+  struct Run {
+    std::vector<int64_t> iterations;
+    std::vector<double> x;
+  };
+  // Two solves of one sequence (same matrix, new right-hand side).
+  const auto run = [&](const bkr_options* opts) {
+    Run out;
+    bkr_gcrodr* solver = bkr_gcrodr_create(opts);
+    EXPECT_NE(solver, nullptr);
+    if (solver == nullptr) return out;
+    for (const double nu : {kPoissonNus[0], kPoissonNus[1]}) {
+      const auto b = poisson2d_rhs(16, 16, nu);
+      out.x.assign(b.size(), 0.0);
+      bkr_result result{};
+      EXPECT_EQ(bkr_gcrodr_solve(solver, m, b.data(), out.x.data(), /*new_matrix=*/0, &result),
+                0);
+      EXPECT_EQ(result.converged, 1);
+      out.iterations.push_back(result.iterations);
+    }
+    bkr_gcrodr_destroy(solver);
+    return out;
+  };
+  bkr_options opts;
+  bkr_options_default(&opts);
+  const Run defaults = run(&opts);
+  const Run null_opts = run(nullptr);
+  EXPECT_EQ(null_opts.iterations, defaults.iterations);
+  EXPECT_EQ(null_opts.x, defaults.x);
+  opts.recycle = 0;
+  const Run k0 = run(&opts);
+  // The second solve recycles with k = 10 and cannot with k = 0.
+  ASSERT_EQ(k0.iterations.size(), 2u);
+  EXPECT_LT(defaults.iterations[1], k0.iterations[1]);
+  // k = 0 is GMRES: the same iterations and solution bits as bkr_gmres.
+  const auto b = poisson2d_rhs(16, 16, kPoissonNus[1]);
+  std::vector<double> x(b.size(), 0.0);
+  bkr_result result{};
+  ASSERT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 0);
+  EXPECT_EQ(result.iterations, k0.iterations[1]);
+  EXPECT_EQ(x, k0.x);
+  opts.recycle = -1;
+  EXPECT_EQ(bkr_gcrodr_create(&opts), nullptr);
+  EXPECT_EQ(bkr_zgcrodr_create(&opts), nullptr);
+  for (const bkr_method method : {BKR_METHOD_GCRODR, BKR_METHOD_GMRES}) {
+    opts.method = method;
+    EXPECT_EQ(bkr_session_create(m, &opts, nullptr), nullptr) << "method " << method;
+  }
+  bkr_matrix_destroy(m);
+}
+
+// A GCRO-DR session with k = 0 solves like a GMRES session and leaves
+// nothing to deposit in the cache.
+TEST(CApi, SessionWithZeroRecycleIsGmres) {
+  const auto a = poisson2d(10, 10);
+  const index_t n = a.rows();
+  const auto arrays = to_c(a);
+  bkr_matrix* m = bkr_matrix_create(n, arrays.rowptr.data(), arrays.colind.data(),
+                                    arrays.values.data());
+  ASSERT_NE(m, nullptr);
+  bkr_cache* cache = bkr_cache_create(size_t(1) << 24);
+  ASSERT_NE(cache, nullptr);
+  const auto b = poisson2d_rhs(10, 10, 0.1);
+  std::vector<int64_t> iterations;
+  std::vector<std::vector<double>> solutions;
+  for (const bkr_method method : {BKR_METHOD_GMRES, BKR_METHOD_GCRODR}) {
+    bkr_options opts;
+    bkr_options_default(&opts);
+    opts.method = method;
+    opts.recycle = 0;
+    bkr_session* session = bkr_session_create(m, &opts, cache);
+    ASSERT_NE(session, nullptr) << "method " << method;
+    std::vector<double> x(b.size(), 0.0);
+    bkr_result result{};
+    ASSERT_EQ(bkr_session_solve(session, b.data(), x.data(), 1, &result), 0);
+    EXPECT_EQ(result.converged, 1);
+    EXPECT_EQ(bkr_session_flush(session), 0) << "method " << method;
+    iterations.push_back(result.iterations);
+    solutions.push_back(x);
+    bkr_session_destroy(session);
+  }
+  EXPECT_EQ(iterations[0], iterations[1]);
+  EXPECT_EQ(solutions[0], solutions[1]);
+  bkr_cache_destroy(cache);
+  bkr_matrix_destroy(m);
+}
+
 TEST(CApi, ComplexGmresSolvesMaxwell) {
   MaxwellConfig cfg;
   cfg.n = 5;
@@ -248,7 +343,7 @@ TEST(CApi, SessionWarmStartsThroughCache) {
   opts.method = BKR_METHOD_GCRODR;
   opts.restart = 25;
   opts.recycle = 8;
-  bkr_cache* cache = bkr_cache_create(0);
+  bkr_cache* cache = bkr_cache_create(size_t(1) << 24);
   ASSERT_NE(cache, nullptr);
 
   auto run_sequence = [&](int64_t* first_iters, int* warm) {
@@ -347,7 +442,7 @@ TEST(CApi, ZSessionSolvesComplexSequence) {
   opts.recycle = 10;
   opts.max_iterations = 5000;
   opts.tol = 1e-7;
-  bkr_cache* cache = bkr_cache_create(0);
+  bkr_cache* cache = bkr_cache_create(size_t(1) << 24);
   bkr_zsession* session = bkr_zsession_create(m, &opts, cache);
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(bkr_zsession_warm_started(session), 0);

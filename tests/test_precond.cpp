@@ -201,6 +201,28 @@ TEST(Amg, GmresSmootherMakesItVariable) {
   EXPECT_FALSE(ml.is_variable());
 }
 
+// Regression pin for the bkr-fpflow finding in precond/amg.cpp: a zero
+// diagonal row used to inject inf into the smoothed prolongator
+// (omega / 0); the guard keeps the tentative prolongator on such rows.
+TEST(Amg, ZeroDiagonalRowKeepsProlongatorFinite) {
+  const index_t n = 40;
+  CooBuilder<double> coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    if (i != 17) coo.add(i, i, 4.0);  // row 17: zero diagonal
+    if (i > 0) coo.add(i, i - 1, -1.0);
+    if (i + 1 < n) coo.add(i, i + 1, -1.0);
+  }
+  const auto a = coo.build();
+  AmgOptions amg_opts;
+  amg_opts.coarse_size = 8;
+  amg_opts.max_levels = 3;
+  amg_opts.smoother = AmgSmoother::Jacobi;
+  AmgPreconditioner<double> m(a, amg_opts);
+  ASSERT_GT(m.levels(), 1);
+  const auto& p = m.prolongator(0);
+  for (const double v : p.values()) EXPECT_TRUE(std::isfinite(v));
+}
+
 TEST(Amg, ElasticityWithRigidBodyModes) {
   ElasticityConfig cfg;
   cfg.ne = 5;

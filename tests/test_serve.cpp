@@ -391,6 +391,26 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
   EXPECT_EQ(srv.wait_exit(), 0);
 }
 
+// The recycle dimension is taken as given: a negative k is refused at
+// admission with an error naming k, and k = 0 runs gcrodr as GMRES.
+TEST(Serve, RecycleDimensionIsValidatedAndTakenAsGiven) {
+  ServeProc srv({"-workers", "1"});
+  ASSERT_TRUE(srv.alive());
+  srv.send(solve_req("neg", "poisson2d:16", "gcrodr", "\"k\":-1"));
+  std::string r = srv.read_response(5000);
+  EXPECT_EQ(json_str(r, "status"), "rejected");
+  EXPECT_NE(json_str(r, "error").find('k'), std::string::npos) << r;
+  srv.send(solve_req("k0", "poisson2d:16", "gcrodr", "\"k\":0"));
+  const std::string k0 = srv.read_response(10000);
+  srv.send(solve_req("gmres", "poisson2d:16", "gmres"));
+  const std::string gmres = srv.read_response(10000);
+  EXPECT_EQ(json_str(k0, "status"), "converged") << k0;
+  EXPECT_EQ(json_int(k0, "iterations"), json_int(gmres, "iterations"));
+  EXPECT_EQ(json_str(k0, "x_hash"), json_str(gmres, "x_hash"));
+  srv.send("{\"op\":\"shutdown\"}");
+  EXPECT_EQ(srv.wait_exit(), 0);
+}
+
 TEST(Serve, ClosedLoopBurstsAtDefaultTenantCapAreNeverRefused) {
   // A closed-loop client sends its next 8-wide burst as soon as it reads
   // the last answer of the previous one. The server frees a tenant slot

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
@@ -20,6 +21,35 @@ namespace {
 using testing::diff_fro;
 using testing::ortho_defect;
 using testing::random_matrix;
+
+CsrMatrix<double> identity(index_t n) {
+  CooBuilder<double> coo(n, n);
+  for (index_t i = 0; i < n; ++i) coo.add(i, i, 1.0);
+  return coo.build();
+}
+
+SolverOptions kernel_options(obs::TraceSink* trace, Ortho ortho) {
+  SolverOptions opts;
+  opts.trace = trace;
+  opts.ortho = ortho;
+  return opts;
+}
+
+// A SolveContext outside any solve, to drive the shared project / qr_block
+// kernels directly on an n-row operator (the identity unless given).
+struct KernelContext {
+  explicit KernelContext(CsrMatrix<double> a, obs::TraceSink* trace = nullptr,
+                         Ortho ortho = Ortho::Cgs2)
+      : matrix(std::move(a)), op(matrix), opts(kernel_options(trace, ortho)) {}
+  KernelContext(const KernelContext&) = delete;
+  KernelContext& operator=(const KernelContext&) = delete;
+  CsrMatrix<double> matrix;
+  CsrOperator<double> op;
+  SolverOptions opts;
+  SolveStats st;
+  SolverWorkspace<double> ws;
+  detail::SolveContext<double> ctx{"kernels", op, nullptr, opts, st, nullptr, ws};
+};
 
 // Seeded nonsymmetric operator: the Poisson stencil with its
 // strictly-upper entries randomly rescaled (SPD structure kept, symmetry
@@ -44,9 +74,10 @@ TEST(TraceInvariants, CholQrUpperTriangularPositiveDiagonal) {
     auto w = random_matrix<double>(n, p, seed);
     const DenseMatrix<double> w0 = w;
     DenseMatrix<double> r(p, p);
-    SolveStats st;
     obs::SolverTrace trace;
-    ASSERT_TRUE(detail::qr_block<double>(w.view(), r.view(), st, nullptr, &trace));
+    KernelContext k(identity(n), &trace);
+    const SolveStats& st = k.st;
+    ASSERT_TRUE(k.ctx.qr_block(w.view(), r.view()));
     for (index_t c = 0; c < p; ++c) {
       EXPECT_GT(r(c, c), 0.0) << "seed " << seed;
       for (index_t i = c + 1; i < p; ++i) EXPECT_EQ(r(i, c), 0.0) << "seed " << seed;
@@ -69,8 +100,7 @@ TEST(TraceInvariants, ProjectionOrthogonalityLossPerMode) {
   const index_t n = 300, s = 8;
   auto basis = random_matrix<double>(n, s, 11);
   DenseMatrix<double> r(s, s);
-  SolveStats qst;
-  ASSERT_TRUE(detail::qr_block<double>(basis.view(), r.view(), qst, nullptr, nullptr));
+  ASSERT_TRUE(KernelContext(identity(n)).ctx.qr_block(basis.view(), r.view()));
 
   struct ModeCase {
     Ortho mode;
@@ -85,11 +115,10 @@ TEST(TraceInvariants, ProjectionOrthogonalityLossPerMode) {
     const DenseMatrix<double> w0 = w;
     DenseMatrix<double> h(s, 1);
     h.set_zero();
-    SolveStats st;
     obs::SolverTrace trace;
-    SolverWorkspace<double> ws;
-    detail::project<double>(basis.view(), s, w.view(), h.view(), mc.mode, 1, st, nullptr, ws,
-                            &trace);
+    KernelContext k(identity(n), &trace, mc.mode);
+    const SolveStats& st = k.st;
+    k.ctx.project(basis.view(), s, w.view(), h.view(), 1);
     // Residual overlap with the basis.
     DenseMatrix<double> overlap(s, 1);
     gemm<double>(Trans::C, Trans::N, 1.0, basis.view(),
@@ -114,27 +143,25 @@ TEST(TraceInvariants, ArnoldiRelationResidual) {
   // machine precision on a seeded nonsymmetric operator.
   const auto a = nonsymmetric_poisson(12, 12, 21);
   const index_t n = a.rows(), mdim = 20;
-  CsrOperator<double> op(a);
+  KernelContext k(a);
+  const CsrOperator<double>& op = k.op;
   DenseMatrix<double> v(n, mdim + 1), hbar(mdim + 1, mdim);
   hbar.set_zero();
   {
     auto b = random_matrix<double>(n, 1, 22);
     copy_into<double>(b.view(), v.block(0, 0, n, 1));
     DenseMatrix<double> r0(1, 1);
-    SolveStats st;
-    ASSERT_TRUE(detail::qr_block<double>(v.block(0, 0, n, 1), r0.view(), st, nullptr, nullptr));
+    ASSERT_TRUE(k.ctx.qr_block(v.block(0, 0, n, 1), r0.view()));
   }
-  SolveStats st;
-  SolverWorkspace<double> ws;
   for (index_t j = 0; j < mdim; ++j) {
     auto w = v.block(0, j + 1, n, 1);
     op.apply(MatrixView<const double>(v.col(j), n, 1, v.ld()), w);
     DenseMatrix<double> h(j + 1, 1);
     h.set_zero();
-    detail::project<double>(v.view(), j + 1, w, h.view(), Ortho::Cgs2, 1, st, nullptr, ws);
+    k.ctx.project(v.view(), j + 1, w, h.view(), 1);
     for (index_t i = 0; i <= j; ++i) hbar(i, j) = h(i, 0);
     DenseMatrix<double> r(1, 1);
-    ASSERT_TRUE(detail::qr_block<double>(w, r.view(), st, nullptr, nullptr)) << "iteration " << j;
+    ASSERT_TRUE(k.ctx.qr_block(w, r.view())) << "iteration " << j;
     hbar(j + 1, j) = r(0, 0);
   }
   EXPECT_LT(ortho_defect<double>(v.view()), 1e-12);

@@ -6,7 +6,7 @@
 // histories, iteration/reduction counts — whichever way the workspace is
 // provided:
 //   * no workspace attached (the per-solve one-shot fallback inside
-//     detail::run_solver_ws),
+//     detail::run_solve),
 //   * a freshly constructed caller-attached workspace,
 //   * a WARM caller-attached workspace whose slots already carry the
 //     capacity (and stale values) of a previous solve,

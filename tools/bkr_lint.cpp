@@ -548,7 +548,7 @@ const char* const kDataPlaneTypes[] = {"MatrixView",  "DenseMatrix",    "CsrMatr
                                        "SolverOptions"};
 
 const char* const kContractTokens[] = {"BKR_REQUIRE", "BKR_ENSURE", "BKR_ASSERT",
-                                       "BKR_ASSERT_SHAPE", "check_solve_entry"};
+                                       "BKR_ASSERT_SHAPE", "run_solve"};
 
 bool is_cxx_keyword(const std::string& w) {
   static const std::set<std::string> kw = {

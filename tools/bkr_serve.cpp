@@ -521,6 +521,12 @@ class Server {
     req->return_x = msg.flag("return_x", false);
     req->arrival = Clock::now();
     req->conn = conn;
+    if (req->recycle < 0) {
+      counters_.rejected.fetch_add(1);
+      conn->write_line("{\"id\":\"" + json_escape(req->id) +
+                       "\",\"status\":\"rejected\",\"error\":\"k must be >= 0\"}");
+      return;
+    }
     bkr_method method_check = BKR_METHOD_GMRES;
     if (req->id.empty() || req->matrix.empty() || !method_from_name(req->method, &method_check) ||
         req->nrhs < 1 || req->nrhs > 64) {
