@@ -125,8 +125,9 @@ DenseMatrix<T> random_block(index_t n, index_t p, unsigned seed) {
 
 // Complex kernels of the fig. 8 antenna chamber (grid 8, 1,176 unknowns):
 // the local LDL^T solve of its largest ORAS(16) subdomain at widths 1 and
-// 8, and the block projection coefficients of a 21-block basis of width 8.
-// Both run on the explicit-product helpers of common/types.hpp.
+// 8, whole ORAS(16) applies at widths 1, 8 and 32, and the block
+// projection coefficients of a 21-block basis of width 8. All run on the
+// explicit-product helpers of common/types.hpp and la/packed.hpp.
 void complex_chamber_rows(Bench& b) {
   using cd = std::complex<double>;
   const MaxwellProblem chamber = bench::chamber_problem(8, true);
@@ -145,6 +146,19 @@ void complex_chamber_rows(Bench& b) {
                               " p=" + std::to_string(p);
     b.entries.push_back({"ldlt_solve", shape, 0,
                          bench::time_median(b.reps, [&] { f.solve_copy(rhs.view(), x.view()); }),
+                         b.reps});
+  }
+  // In situ: one serial ORAS(16) apply, all 16 local solves with their
+  // gather and scatter, at the widths of fig. 8's GMRES (1), block
+  // GCRO-DR (8) and all 32 antennas at once.
+  SchwarzOptions serial = oras;
+  serial.parallel = false;
+  SchwarzPreconditioner<cd> m(chamber.matrix, serial);
+  for (const index_t p : {index_t(1), index_t(8), index_t(32)}) {
+    const DenseMatrix<cd> r = random_block<cd>(chamber.matrix.rows(), p, 17);
+    DenseMatrix<cd> z(chamber.matrix.rows(), p);
+    b.entries.push_back({"ldlt_solve", "chamber8 ORAS(16) apply p=" + std::to_string(p), 0,
+                         bench::time_median(b.reps, [&] { m.apply(r.view(), z.view()); }),
                          b.reps});
   }
   const index_t cn = chamber.matrix.rows(), s = 168, p = 8;

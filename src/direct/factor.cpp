@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/types.hpp"
+#include "la/packed.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/graph.hpp"
 
@@ -98,59 +99,53 @@ SparseLDLT<T>::SparseLDLT(const CsrMatrix<T>& a, FactorOrdering ordering) : n_(a
   for (index_t k = 0; k < n; ++k) dinv_[size_t(k)] = T(1) / d[size_t(k)];
 }
 
-template <class T>
-template <bool Single>
-void SparseLDLT<T>::sweep(T* x, index_t ld, index_t w) const {
-  if constexpr (Single) w = 1;
-  const index_t n = n_;
-  const index_t* lp = lp_.data();
-  const index_t* li = li_.data();
-  const T* lx = lx_.data();
-  // L Y = B (forward); the factor is traversed once for all w columns.
+namespace {
+
+// One solve on the W columns at x of a row-interleaved panel with row
+// stride ld. Every entry sees the operations of a column-by-column
+// sweep in the same order, on the register lanes of la/packed.hpp:
+// forward, x_i -= l_ij x_j with row j held in registers; backward,
+// x_j = d_j^{-1} x_j, then x_j -= l_ij x_i in factor order with row j
+// accumulated in registers and stored once.
+template <int W, class T>
+void sweep(index_t n, const index_t* lp, const index_t* li, const T* lx, const T* dinv, T* x,
+           index_t ld) {
+  using detail::lane_load;
+  using detail::lane_store;
+  using Factor = detail::LaneFactor<T>;
+  detail::lane_t<T> v[W];
+  // L Y = B: the factor is traversed once for all W columns.
   for (index_t j = 0; j < n; ++j) {
     const T* xj = x + j * ld;
-    if constexpr (Single) {
-      const T yj = *xj;
-      for (index_t l = lp[j]; l < lp[j + 1]; ++l) x[li[l] * ld] -= detail::cmul(lx[l], yj);
-    } else {
-      for (index_t l = lp[j]; l < lp[j + 1]; ++l) {
-        T* xi = x + li[l] * ld;
-        const T lij = lx[l];
-        for (index_t r = 0; r < w; ++r) xi[r] -= detail::cmul(lij, xj[r]);
-      }
+    for (int r = 0; r < W; ++r) v[r] = lane_load(xj + r);
+    for (index_t l = lp[j]; l < lp[j + 1]; ++l) {
+      T* xi = x + li[l] * ld;
+      const Factor lij(lx[l]);
+      for (int r = 0; r < W; ++r) lane_store(xi + r, lane_load(xi + r) - lij.times(v[r]));
     }
   }
-  // D Z = Y.
-  for (index_t j = 0; j < n; ++j) {
-    T* xj = x + j * ld;
-    const T inv = dinv_[size_t(j)];
-    for (index_t r = 0; r < w; ++r) xj[r] = detail::cmul(xj[r], inv);
-  }
-  // L^T X = Z (backward); rows below j are final, so column j accumulates
-  // in factor order.
+  // D Z = Y, then L^T X = Z; rows below j are final, so row j
+  // accumulates in factor order.
   for (index_t j = n - 1; j >= 0; --j) {
     T* xj = x + j * ld;
-    if constexpr (Single) {
-      T s = *xj;
-      for (index_t l = lp[j]; l < lp[j + 1]; ++l) s -= detail::cmul(lx[l], x[li[l] * ld]);
-      *xj = s;
-    } else {
-      for (index_t l = lp[j]; l < lp[j + 1]; ++l) {
-        const T* xi = x + li[l] * ld;
-        const T lij = lx[l];
-        for (index_t r = 0; r < w; ++r) xj[r] -= detail::cmul(lij, xi[r]);
-      }
+    const Factor dj(dinv[j]);
+    for (int r = 0; r < W; ++r) v[r] = dj.times(lane_load(xj + r));
+    for (index_t l = lp[j]; l < lp[j + 1]; ++l) {
+      const T* xi = x + li[l] * ld;
+      const Factor lij(lx[l]);
+      for (int r = 0; r < W; ++r) v[r] -= lij.times(lane_load(xi + r));
     }
+    for (int r = 0; r < W; ++r) lane_store(xj + r, v[r]);
   }
 }
 
+}  // namespace
+
 template <class T>
 void SparseLDLT<T>::solve_panel(T* x, index_t ld, index_t w) const {
-  if (w == 1) {
-    sweep<true>(x, ld, w);
-  } else {
-    sweep<false>(x, ld, w);
-  }
+  detail::for_each_panel(w, [&](auto width, index_t c) {
+    sweep<decltype(width)::value>(n_, lp_.data(), li_.data(), lx_.data(), dinv_.data(), x + c, ld);
+  });
 }
 
 template <class T>

@@ -70,10 +70,9 @@ class SparseLDLT {
   void solve_factor_order(T* x, index_t p) const { solve_panel(x, p, p); }
 
  private:
-  // Sweeps columns [0, w) of a row-interleaved panel with row stride ld.
+  // Solves columns [0, w) of a row-interleaved panel with row stride ld,
+  // in register panels of 8 columns, then a 4/2/1 tail.
   void solve_panel(T* x, index_t ld, index_t w) const;
-  template <bool Single>
-  void sweep(T* x, index_t ld, index_t w) const;
 
   index_t n_ = 0;
   std::vector<index_t> perm_;      // new -> old

@@ -25,13 +25,12 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/exec.hpp"
 #include "la/dense.hpp"
+#include "la/packed.hpp"
 
 namespace bkr {
 
@@ -107,30 +106,13 @@ inline index_t fanout_tasks(const KernelExecutor* ex, index_t n) {
 //
 // Every helper below keeps, for each output element, the exact operation
 // sequence of the per-entry loop it replaces, so its results are bitwise
-// those loops' results. std::complex<double> runs on packed two-lane
-// doubles (GCC vector extensions; SSE2, the x86-64 baseline, without
-// -march and without FMA); other scalar types run the same tiles on the
+// those loops' results. std::complex<double> runs on the packed two-lane
+// doubles of la/packed.hpp; other scalar types run the same tiles on the
 // cmul/conj_mul helpers.
 
 inline constexpr index_t kTileRows = 4;    // dot tile height (output rows)
 inline constexpr index_t kTileCols = 2;    // dot tile width (output columns)
 inline constexpr int kUpdateGroup = 4;     // columns of A per pass over C(:,j)
-
-template <class T>
-inline constexpr bool kPackedComplex = std::is_same_v<T, std::complex<double>>;
-
-using v2d = double __attribute__((vector_size(16)));  // {re, im}
-
-// std::complex<double> is layout-compatible with double[2] ([complex.numbers]).
-inline v2d load2(const std::complex<double>* p) {
-  v2d v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store2(std::complex<double>* p, v2d v) {
-  std::memcpy(static_cast<void*>(p), &v, sizeof v);
-}
-inline v2d swap2(v2d v) { return v2d{v[1], v[0]}; }
 
 // s[ii + MR*jj] = chunk_dot(k, x + ii*ldx, y + jj*ldy): MR*NR independent
 // accumulators, each summed from T(0) in ascending l.
@@ -204,34 +186,19 @@ inline void dot_tile_at(MatrixView<const T> x, MatrixView<const T> y, index_t i0
 }
 
 // cj[i] += cmul(a[g][i], coef[g]) for g = 0 .. G-1 in order, one pass
-// over cj. Packed cmul is A*{br, br} + swap(A)*{-bi, bi}
-// = {ar*br + ai*(-bi), ai*br + ar*bi}: cmul's products and exact sums.
+// over cj, on register lanes (la/packed.hpp).
 template <int G, class T>
 inline void update_group(index_t m, T* __restrict cj, const T* const* a, const T* coef) {
   const T* ag[G];
-  for (int g = 0; g < G; ++g) ag[g] = a[g];
-  if constexpr (kPackedComplex<T>) {
-    v2d br[G], bi[G];
-    for (int g = 0; g < G; ++g) {
-      br[g] = v2d{coef[g].real(), coef[g].real()};
-      bi[g] = v2d{-coef[g].imag(), coef[g].imag()};
-    }
-    for (index_t i = 0; i < m; ++i) {
-      v2d ci = load2(cj + i);
-      for (int g = 0; g < G; ++g) {
-        const v2d av = load2(ag[g] + i);
-        ci += av * br[g] + swap2(av) * bi[g];
-      }
-      store2(cj + i, ci);
-    }
-  } else {
-    T cg[G];
-    for (int g = 0; g < G; ++g) cg[g] = coef[g];
-    for (index_t i = 0; i < m; ++i) {
-      T ci = cj[i];
-      for (int g = 0; g < G; ++g) ci += cmul(ag[g][i], cg[g]);
-      cj[i] = ci;
-    }
+  LaneFactor<T> cg[G];
+  for (int g = 0; g < G; ++g) {
+    ag[g] = a[g];
+    cg[g] = LaneFactor<T>(coef[g]);
+  }
+  for (index_t i = 0; i < m; ++i) {
+    lane_t<T> ci = lane_load(cj + i);
+    for (int g = 0; g < G; ++g) ci += cg[g].times(lane_load(ag[g] + i));
+    lane_store(cj + i, ci);
   }
 }
 

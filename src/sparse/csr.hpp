@@ -16,6 +16,7 @@
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "la/dense.hpp"
+#include "la/packed.hpp"
 #include "common/exec.hpp"
 
 namespace bkr {
@@ -138,16 +139,25 @@ class CsrMatrix {
     }
   }
 
+  // Each y(i, j) is its own accumulator, started at T(0) and summed in
+  // ascending l, so a chunk of W columns held in register lanes
+  // (la/packed.hpp) is bitwise a column-by-column spmv.
   void spmm_rows(index_t i0, index_t i1, MatrixView<const T>& x, MatrixView<T>& y) const {
-    const index_t p = x.cols();
+    detail::for_each_panel(x.cols(), [&](auto width, index_t j0) {
+      spmm_panel<decltype(width)::value>(i0, i1, x.col(j0), x.ld(), y.col(j0), y.ld());
+    });
+  }
+
+  template <int W>
+  void spmm_panel(index_t i0, index_t i1, const T* x, index_t ldx, T* y, index_t ldy) const {
     for (index_t i = i0; i < i1; ++i) {
-      // Accumulate the row against every column of X.
-      for (index_t j = 0; j < p; ++j) y(i, j) = T(0);
+      detail::lane_t<T> s[W] = {};
       for (index_t l = rowptr_[size_t(i)]; l < rowptr_[size_t(i) + 1]; ++l) {
-        const T a = values_[size_t(l)];
-        const index_t c = colind_[size_t(l)];
-        for (index_t j = 0; j < p; ++j) y(i, j) += detail::cmul(a, x(c, j));
+        const detail::LaneFactor<T> a(values_[size_t(l)]);
+        const T* xc = x + colind_[size_t(l)];
+        for (int r = 0; r < W; ++r) s[r] += a.times(detail::lane_load(xc + r * ldx));
       }
+      for (int r = 0; r < W; ++r) detail::lane_store(y + i + r * ldy, s[r]);
     }
   }
 

@@ -73,31 +73,60 @@ CsrMatrix<T> skewed_sparse(index_t rows, index_t cols, unsigned seed) {
 // Partition-type kernels: bitwise equal to the legacy serial reference.
 // ---------------------------------------------------------------------------
 
+// y(i, j) summed from T(0) over the row in ascending l with plain
+// operator* (Annex G for complex, bitwise cmul for finite data).
 template <class T>
-void check_spmv_spmm(index_t rows, index_t cols, index_t p, unsigned seed) {
+DenseMatrix<T> reference_spmm(const CsrMatrix<T>& a, MatrixView<const T> x) {
+  DenseMatrix<T> y(a.rows(), x.cols());
+  for (index_t j = 0; j < x.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) {
+      T s(0);
+      for (index_t l = a.rowptr()[size_t(i)]; l < a.rowptr()[size_t(i) + 1]; ++l)
+        s += a.values()[size_t(l)] * x(a.colind()[size_t(l)], j);
+      y(i, j) = s;
+    }
+  return y;
+}
+
+// X and Y are views with leading dimension cols + pad and rows + pad; the
+// pad rows of Y must stay untouched.
+template <class T>
+void check_spmv_spmm(index_t rows, index_t cols, index_t p, unsigned seed, index_t pad = 0) {
   const CsrMatrix<T> a = skewed_sparse<T>(rows, cols, seed);
-  const DenseMatrix<T> x = testing::random_matrix<T>(cols, p, seed + 1);
-  DenseMatrix<T> want(rows, p);
-  a.spmm(MatrixView<const T>(x.data(), cols, p, x.ld()), want.view());  // legacy serial
-  for (const auto& ex : test_executors()) {
-    DenseMatrix<T> got(rows, p);
-    got.set_zero();
-    a.spmm(MatrixView<const T>(x.data(), cols, p, x.ld()), got.view(), ex.get());
-    expect_identical<T>(MatrixView<const T>(got.data(), rows, p, got.ld()),
+  const DenseMatrix<T> xs = testing::random_matrix<T>(cols + pad, p, seed + 1);
+  const MatrixView<const T> x(xs.data(), cols, p, xs.ld());
+  const DenseMatrix<T> want = reference_spmm(a, x);
+  std::vector<const KernelExecutor*> executors{nullptr};  // serial first
+  const auto pooled = test_executors();
+  for (const auto& ex : pooled) executors.push_back(ex.get());
+  for (const KernelExecutor* ex : executors) {
+    DenseMatrix<T> ys(rows + pad, p);
+    for (index_t j = 0; j < p; ++j)
+      for (index_t i = 0; i < rows + pad; ++i) ys(i, j) = T(42);
+    a.spmm(x, MatrixView<T>(ys.data(), rows, p, ys.ld()), ex);
+    expect_identical<T>(MatrixView<const T>(ys.data(), rows, p, ys.ld()),
                         MatrixView<const T>(want.data(), rows, p, want.ld()), "spmm");
+    for (index_t j = 0; j < p; ++j)
+      for (index_t i = rows; i < rows + pad; ++i) EXPECT_EQ(ys(i, j), T(42)) << "pad row " << i;
     if (p == 1 && rows > 0) {
       std::vector<T> yv(size_t(rows), T(42));
-      a.spmv(x.col(0), yv.data(), ex.get());
+      a.spmv(x.col(0), yv.data(), ex);
       for (index_t i = 0; i < rows; ++i) EXPECT_EQ(yv[size_t(i)], want(i, 0)) << "spmv row " << i;
     }
   }
 }
 
 TEST(KernelOracle, SpmvSpmmMatchSerialBitwise) {
-  for (index_t p : {index_t(1), index_t(4), index_t(7)}) {
+  // Widths cover one and several 8-wide register panels and every 4/2/1
+  // tail of them.
+  for (index_t p : {index_t(1), index_t(3), index_t(4), index_t(5), index_t(7), index_t(9),
+                    index_t(17)}) {
     check_spmv_spmm<double>(200, 150, p, 11);
     check_spmv_spmm<std::complex<double>>(200, 150, p, 12);
   }
+  // Strided views: leading dimensions larger than the rows they hold.
+  check_spmv_spmm<double>(60, 45, 9, 17, 3);
+  check_spmv_spmm<std::complex<double>>(60, 45, 13, 18, 5);
   // Edge shapes: empty, single row, tall-skinny input block.
   check_spmv_spmm<double>(0, 5, 3, 13);
   check_spmv_spmm<double>(1, 9, 1, 14);
@@ -413,13 +442,8 @@ TEST(KernelOracle, ComplexSpmmMatchesStdComplexReferenceBitwise) {
   const DenseMatrix<cd> x = testing::random_matrix<cd>(70, 3, 421);
   DenseMatrix<cd> got(90, 3);
   a.spmm(x.view(), got.view());
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < 3; ++j) {
-      cd s(0);
-      for (index_t l = a.rowptr()[size_t(i)]; l < a.rowptr()[size_t(i) + 1]; ++l)
-        s += a.values()[size_t(l)] * x(a.colind()[size_t(l)], j);
-      EXPECT_EQ(got(i, j), s) << "spmm (" << i << "," << j << ")";
-    }
+  const DenseMatrix<cd> want = reference_spmm<cd>(a, x.view());
+  expect_identical<cd>(got.view(), want.view(), "spmm");
 }
 
 TEST(KernelOracle, NonFiniteComplexProductsStayNonFinite) {

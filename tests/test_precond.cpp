@@ -357,17 +357,20 @@ TEST(Schwarz, OrasWidthEightApplyEqualsEightSingleAppliesBitwise) {
   SchwarzPreconditioner<cplx> m(prob.matrix, o);
   o.parallel = false;
   SchwarzPreconditioner<cplx> serial(prob.matrix, o);
-  const auto r = testing::random_matrix<cplx>(n, 8, 93);
-  DenseMatrix<cplx> z(n, 8), zs(n, 8), zc(n, 8);
-  m.apply(r.view(), z.view());
-  serial.apply(r.view(), zs.view());
-  for (index_t c = 0; c < 8; ++c)
-    m.apply(MatrixView<const cplx>(r.col(c), n, 1, n), zc.block(0, c, n, 1));
-  for (index_t c = 0; c < 8; ++c)
-    for (index_t i = 0; i < n; ++i) {
-      EXPECT_EQ(z(i, c), zc(i, c)) << "column " << c;
-      EXPECT_EQ(z(i, c), zs(i, c)) << "lanes, column " << c;
-    }
+  // Width 5 runs a 4-wide and a 1-wide register panel, 32 four 8-wide ones.
+  for (const index_t p : {5, 8, 32}) {
+    const auto r = testing::random_matrix<cplx>(n, p, 93 + unsigned(p - 8));
+    DenseMatrix<cplx> z(n, p), zs(n, p), zc(n, p);
+    m.apply(r.view(), z.view());
+    serial.apply(r.view(), zs.view());
+    for (index_t c = 0; c < p; ++c)
+      m.apply(MatrixView<const cplx>(r.col(c), n, 1, n), zc.block(0, c, n, 1));
+    for (index_t c = 0; c < p; ++c)
+      for (index_t i = 0; i < n; ++i) {
+        EXPECT_EQ(z(i, c), zc(i, c)) << "p=" << p << " column " << c;
+        EXPECT_EQ(z(i, c), zs(i, c)) << "lanes, p=" << p << " column " << c;
+      }
+  }
 }
 
 TEST(Schwarz, NonFiniteRhsStillReportedByGmres) {
